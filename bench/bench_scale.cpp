@@ -14,25 +14,20 @@
 //   --smoke            small grid ({16, 64} nodes, 25 tasks/node) for CI
 //   --nodes=a,b,c      override the cluster-size list
 //   --tasks-per-node=N override the task density (default 100)
-//   --schedulers=a,b   restrict both the grid and the lane series to a
-//                      comma-separated subset of the scheduler labels
+//   --schedulers=a,b   restrict the grid to a comma-separated subset of
+//                      the scheduler labels
 //                      (Hadoop-128m, Hadoop-64m, SkewTune-64m, FlexMap).
 //                      SkewTune's per-offer candidate scan makes its
 //                      10000-node point ~10x the others' cost, so large
 //                      one-off measurements usually want to exclude it.
 //   --profile          activate the self-profiler (DESIGN.md §15): host
 //                      wall-clock attribution for dispatch / RM offers /
-//                      speculation scans / lane drains, written to
-//                      PROFILE_scale.json next to the bench artifact.
+//                      speculation scans, written to PROFILE_scale.json
+//                      next to the bench artifact.
 //                      Setting FLEXMR_PROFILE=1 does the same.
-//   --lanes=a,b,c      after the grid, run a parallel_speedup series on the
-//                      largest cluster size: sharded engine at each lane
-//                      count × all four schedulers, measured one run at a
-//                      time (never on the sweep pool) so the wall clocks
-//                      are like-for-like; lanes=1 is the baseline and is
-//                      added if missing. Speedups are only meaningful on
-//                      multi-core hosts — the artifact records
-//                      hardware_concurrency so readers can tell.
+//
+// Grid points run one at a time (never on the sweep pool), so their wall
+// clocks are like-for-like; the artifact records hardware_concurrency.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -120,7 +115,6 @@ std::vector<std::uint32_t> parse_list(const char* arg) {
 int main(int argc, char** argv) {
   std::vector<std::uint32_t> sizes = {16, 64, 256, 1000, 10000};
   std::uint32_t tasks_per_node = 100;
-  std::vector<std::uint32_t> lane_counts;
   std::string scheduler_filter;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -131,8 +125,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--tasks-per-node=", 17) == 0) {
       tasks_per_node = static_cast<std::uint32_t>(
           std::strtoul(argv[i] + 17, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--lanes=", 8) == 0) {
-      lane_counts = parse_list(argv[i] + 8);
     } else if (std::strncmp(argv[i], "--schedulers=", 13) == 0) {
       scheduler_filter = argv[i] + 13;
     } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -215,65 +207,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!lane_counts.empty()) {
-    // lanes=1 anchors the speedup ratio; everything is the sharded engine
-    // so the comparison isolates lane-count scaling, not engine choice.
-    if (std::find(lane_counts.begin(), lane_counts.end(), 1u) ==
-        lane_counts.end()) {
-      lane_counts.insert(lane_counts.begin(), 1u);
-    }
-    std::sort(lane_counts.begin(), lane_counts.end());
-    const std::uint32_t nodes =
-        *std::max_element(sizes.begin(), sizes.end());
-    const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("\nparallel_speedup series: %u nodes, sharded engine, "
-                "hardware_concurrency=%u%s\n",
-                nodes, hw,
-                hw <= 1 ? " (single core: lane workers run inline, "
-                          "speedup ~1.0 expected)"
-                        : "");
-    const auto bench_def = make_scale_benchmark(nodes, tasks_per_node);
-    TextTable lane_table({"scheduler", "lanes", "wall (s)", "speedup",
-                          "events/s", "jct (s)"});
-    for (const auto& point : points) {
-      double baseline_wall = 0.0;
-      for (const std::uint32_t lanes : lane_counts) {
-        auto cluster = make_scale_cluster(nodes);
-        workloads::RunConfig config;
-        config.block_size = point.block_size;
-        config.params.seed = seed;
-        config.lanes = lanes;
-        const auto start = std::chrono::steady_clock::now();
-        const auto result = workloads::run_job(
-            cluster, bench_def, workloads::InputScale::kSmall, point.kind,
-            config);
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-        if (lanes == 1) baseline_wall = wall;
-        const double speedup = wall > 0 ? baseline_wall / wall : 0.0;
-        const double events = static_cast<double>(result.sim_events_fired);
-        const double eps = wall > 0 ? events / wall : 0.0;
-        lane_table.add_row({point.label, std::to_string(lanes),
-                            TextTable::num(wall), TextTable::num(speedup),
-                            TextTable::num(eps, 0),
-                            TextTable::num(result.jct())});
-        const std::string series = "parallel_speedup/" + point.label +
-                                   "/lanes" + std::to_string(lanes);
-        artifact.add_metric(series, "wall_clock_s", wall);
-        artifact.add_metric(series, "speedup", speedup);
-        artifact.add_metric(series, "events_per_sec", eps);
-        artifact.add_metric(series, "jct", result.jct());
-        std::printf("  done: %-12s lanes=%u  wall %.2fs  speedup %.2fx\n",
-                    point.label.c_str(), lanes, wall, speedup);
-        std::fflush(stdout);
-      }
-    }
-    std::printf("\n%s\n", lane_table.str().c_str());
-  }
-
-  // The speedup series only means something relative to the host's core
-  // count (a single-core container runs lane workers inline by design).
+  // Wall-clock figures only mean something next to the host's core count.
   {
     JsonWriter host;
     host.begin_object();

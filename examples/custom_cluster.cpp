@@ -85,9 +85,10 @@ flexmr::workloads::SchedulerKind parse_scheduler(const std::string& name) {
   throw flexmr::ConfigError("unknown scheduler: " + name);
 }
 
-std::vector<std::pair<flexmr::NodeId, flexmr::SimTime>> parse_failures(
-    const flexmr::Config& config) {
-  std::vector<std::pair<flexmr::NodeId, flexmr::SimTime>> failures;
+/// Appends each `failures.nodeN = <node> @ <time>` entry to `plan` as an
+/// oracle-detected, permanent crash.
+void parse_failures(const flexmr::Config& config,
+                    flexmr::faults::FaultPlan& plan) {
   for (int i = 1;; ++i) {
     const auto value =
         config.get("failures.node" + std::to_string(i));
@@ -97,11 +98,10 @@ std::vector<std::pair<flexmr::NodeId, flexmr::SimTime>> parse_failures(
       throw flexmr::ConfigError("failure spec must be '<node> @ <time>': " +
                                 *value);
     }
-    failures.emplace_back(
+    plan.crashes.push_back(flexmr::faults::NodeCrash{
         static_cast<flexmr::NodeId>(std::stoul(value->substr(0, at))),
-        std::stod(value->substr(at + 1)));
+        std::stod(value->substr(at + 1)), std::nullopt, /*silent=*/false});
   }
-  return failures;
 }
 
 }  // namespace
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     run.block_size = config.get_double("job.block_mb", 64.0);
     run.params.seed =
         static_cast<std::uint64_t>(config.get_int("run.seed", 1));
-    run.node_failures = parse_failures(config);
+    parse_failures(config, run.faults);
     const auto kind =
         parse_scheduler(config.get_string("run.scheduler", "flexmap"));
     const auto repeats =
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
                 bench.name.c_str(), mib_to_gib(bench.small_input),
                 workloads::scheduler_label(kind).c_str(),
                 static_cast<unsigned long long>(repeats),
-                run.node_failures.empty() ? "" : "; with failures");
+                run.faults.crashes.empty() ? "" : "; with failures");
 
     OnlineStats jct;
     OnlineStats efficiency;

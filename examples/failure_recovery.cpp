@@ -57,7 +57,8 @@ int main() {
   report("healthy run (FlexMap, 6 nodes)", healthy, cluster);
 
   auto cluster2 = cluster::presets::homogeneous6();
-  config.node_failures = {{2, 12.0}};
+  config.faults.crashes.push_back(
+      faults::NodeCrash{2, 12.0, std::nullopt, /*silent=*/false});
   const auto failed = workloads::run_job(
       cluster2, bench, workloads::InputScale::kSmall,
       workloads::SchedulerKind::kFlexMap, config);

@@ -13,23 +13,18 @@ void OnOffInterference::start(Simulator& sim, Machine& machine, Rng& rng) {
   }
 }
 
-// Interference timers are the purest node-owned events in the simulation
-// (each touches one machine and its own split RNG stream), so they carry
-// the machine's lane on the sharded engine — a placement hint; the fire
-// order, and thus the RNG draw order, is global either way.
-
 void OnOffInterference::enter_idle(Simulator& sim, Machine& machine) {
   machine.set_multiplier(1.0);
   const double duration = rng_.exponential(params_.mean_idle_s);
-  sim.schedule_on_after(sim.lane_for_node(machine.id()), duration,
-                        [this, &sim, &machine]() { enter_busy(sim, machine); });
+  sim.schedule_after(duration,
+                     [this, &sim, &machine]() { enter_busy(sim, machine); });
 }
 
 void OnOffInterference::enter_busy(Simulator& sim, Machine& machine) {
   machine.set_multiplier(rng_.uniform(params_.busy_lo, params_.busy_hi));
   const double duration = rng_.exponential(params_.mean_busy_s);
-  sim.schedule_on_after(sim.lane_for_node(machine.id()), duration,
-                        [this, &sim, &machine]() { enter_idle(sim, machine); });
+  sim.schedule_after(duration,
+                     [this, &sim, &machine]() { enter_idle(sim, machine); });
 }
 
 void RandomWalkInterference::start(Simulator& sim, Machine& machine,
@@ -37,18 +32,16 @@ void RandomWalkInterference::start(Simulator& sim, Machine& machine,
   rng_ = rng.split();
   value_ = params_.start;
   machine.set_multiplier(value_);
-  sim.schedule_on_after(sim.lane_for_node(machine.id()),
-                        params_.step_period_s,
-                        [this, &sim, &machine]() { step(sim, machine); });
+  sim.schedule_after(params_.step_period_s,
+                     [this, &sim, &machine]() { step(sim, machine); });
 }
 
 void RandomWalkInterference::step(Simulator& sim, Machine& machine) {
   value_ = std::clamp(value_ + rng_.normal(0.0, params_.step_stddev),
                       params_.floor, 1.0);
   machine.set_multiplier(value_);
-  sim.schedule_on_after(sim.lane_for_node(machine.id()),
-                        params_.step_period_s,
-                        [this, &sim, &machine]() { step(sim, machine); });
+  sim.schedule_after(params_.step_period_s,
+                     [this, &sim, &machine]() { step(sim, machine); });
 }
 
 }  // namespace flexmr::cluster

@@ -10,8 +10,8 @@
 //                        once `node_liveness_timeout_s` passes without a
 //                        heartbeat, so in-flight work on the dead node
 //                        wastes real simulated time. A non-silent crash is
-//                        the legacy oracle path (instant detection), kept
-//                        for `RunConfig::node_failures` compatibility.
+//                        detected instantly, as by an oracle: the scripted
+//                        failure of a test, example or config file.
 //                        With `rejoin_at` set, the node re-registers then:
 //                        the RM restores its slots, schedulers re-offer,
 //                        and all pre-crash speed estimates are discarded.
@@ -48,8 +48,8 @@ struct NodeCrash {
   SimTime at = 0;
   /// Absolute time the node re-registers with the RM; nullopt = permanent.
   std::optional<SimTime> rejoin_at;
-  /// Silent death (heartbeat-expiry detection). False = legacy oracle
-  /// detection at `at` exactly.
+  /// Silent death (heartbeat-expiry detection). False = oracle detection
+  /// at `at` exactly.
   bool silent = true;
 };
 

@@ -133,13 +133,9 @@ void FlexMapScheduler::on_node_recovered(mr::DriverContext& ctx,
 
 std::uint32_t FlexMapScheduler::end_game_cap(const mr::DriverContext& ctx,
                                              NodeId node) const {
-  // Sharded-engine audit: this kernel (and capacity_share below) is a
-  // sequential FP sum over nodes — known_sum and cluster_rate are
-  // accumulation chains whose rounding depends on addition order, so
-  // chunking them across lane workers would change low-order bits and
-  // break golden byte-identity. They stay serial by design; only the
-  // per-element kernels (running_maps snapshot, LATE candidates,
-  // SkewTune argmax) are fanned out. See DESIGN.md §13.4.
+  // This kernel (and capacity_share below) is a sequential FP sum over
+  // nodes: known_sum and cluster_rate round differently in any other
+  // addition order, so the walk stays in ascending node order.
   // Observed per-container rates; unreported nodes assume the mean.
   double known_sum = 0.0;
   std::size_t known = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "simcore/lane_set.hpp"
 
 namespace flexmr::hdfs {
 
@@ -118,11 +117,6 @@ void BlockLocationIndex::take_block(const Block& block) {
 }
 
 void BlockLocationIndex::take_units(const std::vector<BlockUnitId>& bus) {
-  // Taking BUs commits them to a task — shared-state mutation that must
-  // stay on the control lane of the sharded engine (decision kernels on
-  // lane workers only *read*; the commit happens after the fan-in).
-  FLEXMR_ASSERT_MSG(!LaneSet::on_worker(),
-                    "BU take from a lane worker (control-lane only)");
   for (const BlockUnitId bu : bus) {
     FLEXMR_ASSERT_MSG(!taken_[bu], "unit already taken");
     take_one(bu);

@@ -5,15 +5,11 @@
 
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
-#include "simcore/lane_set.hpp"
 
 namespace flexmr::mr {
 
 namespace {
 constexpr TaskId kReduceIdBase = 1'000'000;
-/// Below this many live tasks the snapshot fan-out costs more than the
-/// scan; matches the lane drain threshold (ShardState::kParallelDrainMin).
-constexpr std::size_t kParallelSnapshotMin = 2048;
 }
 
 JobDriver::JobDriver(Simulator& sim, cluster::Cluster& cluster,
@@ -64,14 +60,7 @@ void JobDriver::start() {
   FLEXMR_ASSERT_MSG(!started_, "JobDriver is one-shot");
   started_ = true;
 
-  // Fold legacy one-shot failures into the plan (oracle-detected crashes)
-  // and validate the whole thing against this cluster before any state
-  // changes.
-  for (const auto& [node, time] : planned_failures_) {
-    plan_.crashes.push_back(
-        faults::NodeCrash{node, time, std::nullopt, /*silent=*/false});
-  }
-  planned_failures_.clear();
+  // Validate the plan against this cluster before any state changes.
   plan_.validate(cluster_->num_nodes());
   if (plan_.has_am_faults() && journal_ == nullptr) {
     throw ConfigError(
@@ -366,15 +355,11 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
     // the container never comes up. The task freezes in kStarting until
     // heartbeat expiry declares the node lost and reclaims its work.
   } else if (task->planned_fault == PlannedFault::kLaunchFail) {
-    // Container/JVM timers are node-owned: on the sharded engine they live
-    // on the node's lane (a placement hint only — fire order is global).
-    task->pending_event = sim_->schedule_on_after(
-        sim_->lane_for_node(node), params_.container_alloc_s,
-        [this, id]() { map_attempt_fail(id); });
+    task->pending_event = sim_->schedule_after(
+        params_.container_alloc_s, [this, id]() { map_attempt_fail(id); });
   } else {
-    task->pending_event =
-        sim_->schedule_on_after(sim_->lane_for_node(node), startup,
-                                [this, id]() { map_compute_start(id); });
+    task->pending_event = sim_->schedule_after(
+        startup, [this, id]() { map_compute_start(id); });
   }
 
   ++running_map_count_;
@@ -411,8 +396,7 @@ void JobDriver::map_compute_start(TaskId id) {
     const SimTime fail_at =
         sim_->now() + task.fail_frac * (*eta - sim_->now());
     task.pending_event =
-        sim_->schedule_on(sim_->lane_for_node(task.node), fail_at,
-                          [this, id]() { map_attempt_fail(id); });
+        sim_->schedule_at(fail_at, [this, id]() { map_attempt_fail(id); });
     return;
   }
   reschedule_map_completion(task);
@@ -427,8 +411,7 @@ void JobDriver::reschedule_map_completion(MapTask& task) {
   FLEXMR_ASSERT_MSG(eta.has_value(), "map task stalled at zero rate");
   const TaskId id = task.id;
   task.pending_event =
-      sim_->schedule_on(sim_->lane_for_node(task.node), *eta,
-                        [this, id]() { map_complete(id); });
+      sim_->schedule_at(*eta, [this, id]() { map_complete(id); });
 }
 
 void JobDriver::record_map(const MapTask& task, TaskStatus status,
@@ -770,13 +753,12 @@ bool JobDriver::dispatch_reduce(NodeId node) {
   if (injector_ && !injector_->responsive(node)) {
     // Container on a silently-dead node: frozen until detection.
   } else if (task.planned_fault == PlannedFault::kLaunchFail) {
-    task.pending_event = sim_->schedule_on_after(
-        sim_->lane_for_node(node), params_.container_alloc_s,
+    task.pending_event = sim_->schedule_after(
+        params_.container_alloc_s,
         [this, idx]() { reduce_attempt_fail(idx); });
   } else {
-    task.pending_event = sim_->schedule_on_after(
-        sim_->lane_for_node(node), startup,
-        [this, idx]() { reduce_fetch_start(idx); });
+    task.pending_event = sim_->schedule_after(
+        startup, [this, idx]() { reduce_fetch_start(idx); });
   }
   if (tracer_ != nullptr) {
     tracer_->task_begin(obs::node_pid(node), ttok(task.id),
@@ -826,9 +808,8 @@ void JobDriver::reduce_fetch_start(std::size_t idx) {
          {"failed_sources",
           static_cast<std::uint64_t>(task.failed_fetch_sources.size())}});
   }
-  task.pending_event = sim_->schedule_on_after(
-      sim_->lane_for_node(task.node), fetch,
-      [this, idx]() { reduce_fetch_done(idx); });
+  task.pending_event = sim_->schedule_after(
+      fetch, [this, idx]() { reduce_fetch_done(idx); });
 }
 
 void JobDriver::reduce_fetch_done(std::size_t idx) {
@@ -864,9 +845,8 @@ void JobDriver::handle_fetch_failure(std::size_t idx) {
   // (or aborted the job): the retry loop dies with it, and a later
   // redispatch restarts the whole fetch.
   if (done_ || task.phase != TaskPhase::kFetching) return;
-  task.pending_event = sim_->schedule_on_after(
-      sim_->lane_for_node(task.node), backoff,
-      [this, idx]() { retry_fetch(idx); });
+  task.pending_event =
+      sim_->schedule_after(backoff, [this, idx]() { retry_fetch(idx); });
 }
 
 void JobDriver::retry_fetch(std::size_t idx) {
@@ -977,14 +957,12 @@ void JobDriver::reduce_compute_start(std::size_t idx) {
   if (task.planned_fault == PlannedFault::kAttemptFail) {
     const SimTime fail_at =
         sim_->now() + task.fail_frac * (*eta - sim_->now());
-    task.pending_event = sim_->schedule_on(
-        sim_->lane_for_node(task.node), fail_at,
-        [this, idx]() { reduce_attempt_fail(idx); });
+    task.pending_event = sim_->schedule_at(
+        fail_at, [this, idx]() { reduce_attempt_fail(idx); });
     return;
   }
   task.pending_event =
-      sim_->schedule_on(sim_->lane_for_node(task.node), *eta,
-                        [this, idx]() { reduce_complete(idx); });
+      sim_->schedule_at(*eta, [this, idx]() { reduce_complete(idx); });
 }
 
 void JobDriver::reduce_complete(std::size_t idx) {
@@ -1150,20 +1128,6 @@ void JobDriver::heartbeat() {
 // ---------------------------------------------------------------------------
 // Failure injection
 // ---------------------------------------------------------------------------
-
-void JobDriver::schedule_node_failure(NodeId node, SimTime time) {
-  FLEXMR_ASSERT_MSG(!started_, "schedule failures before run()");
-  if (node >= cluster_->num_nodes()) {
-    throw ConfigError("node failure names node " + std::to_string(node) +
-                      " but the cluster has " +
-                      std::to_string(cluster_->num_nodes()) + " nodes");
-  }
-  if (time < 0.0) {
-    throw ConfigError("node failure of node " + std::to_string(node) +
-                      " at negative time " + std::to_string(time));
-  }
-  planned_failures_.emplace_back(node, time);
-}
 
 void JobDriver::install_faults(faults::FaultPlan plan) {
   FLEXMR_ASSERT_MSG(!started_, "install faults before run()");
@@ -2017,61 +1981,33 @@ void JobDriver::on_speed_change(NodeId node) {
     const auto eta = task.integrator->eta(sim_->now());
     FLEXMR_ASSERT(eta.has_value());
     task.pending_event =
-        sim_->schedule_on(sim_->lane_for_node(task.node), *eta,
-                          [this, idx]() { reduce_complete(idx); });
+        sim_->schedule_at(*eta, [this, idx]() { reduce_complete(idx); });
   }
 }
 
 std::vector<RunningMapInfo> JobDriver::running_maps() const {
   FLEXMR_PROF_SCOPE("mr/running_maps");
   // The hottest driver scan (the schedulers call this every offer and
-  // every straggler probe). Each element is pure per-task computation —
-  // RateIntegrator::done(now) is const and touches only that task — so
-  // the sharded engine may build the snapshot in chunks on the lane
-  // workers. Chunks are concatenated in chunk order, which is element
-  // order, so the result (and every FP byte in it) is identical to the
-  // serial build; see DESIGN.md §13.4 for what makes a kernel chunkable.
-  const auto snapshot = [&](const TaskId id,
-                            std::vector<RunningMapInfo>& out) {
+  // every straggler probe). Entries are filled in place: building each in
+  // a local and copying it in cost about a third more per call (GCC 12,
+  // Release, x86-64).
+  const SimTime now = sim_->now();
+  std::vector<RunningMapInfo> out;
+  out.reserve(live_map_ids_.size());
+  for (const TaskId id : live_map_ids_) {
     const MapTask& task = *map_tasks_[id];
-    if (task.phase == TaskPhase::kDone) return;
-    RunningMapInfo info;
+    if (task.phase == TaskPhase::kDone) continue;
+    RunningMapInfo& info = out.emplace_back();
     info.id = task.id;
     info.node = task.node;
     info.size_mib = task.size;
     info.computing = task.phase == TaskPhase::kComputing;
-    info.bytes_read =
-        info.computing ? task.integrator->done(sim_->now()) : 0.0;
+    info.bytes_read = info.computing ? task.integrator->done(now) : 0.0;
     info.progress = task.size > 0 ? info.bytes_read / task.size : 0.0;
     info.dispatch_time = task.dispatch_time;
     info.speculative = task.speculative;
     info.has_twin = task.twin != kInvalidTask;
-    out.push_back(info);
-  };
-  LaneSet* lanes = sim_->lane_set();
-  if (lanes != nullptr && lanes->workers() > 0 &&
-      live_map_ids_.size() >= kParallelSnapshotMin) {
-    const std::size_t max_chunks = lanes->workers() + 1;
-    std::vector<std::vector<RunningMapInfo>> parts(max_chunks);
-    lanes->run_chunked(
-        live_map_ids_.size(), kParallelSnapshotMin,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          auto& part = parts[chunk];
-          part.reserve(end - begin);
-          for (std::size_t i = begin; i < end; ++i) {
-            snapshot(live_map_ids_[i], part);
-          }
-        });
-    std::vector<RunningMapInfo> out;
-    out.reserve(live_map_ids_.size());
-    for (auto& part : parts) {
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
   }
-  std::vector<RunningMapInfo> out;
-  out.reserve(live_map_ids_.size());
-  for (const TaskId id : live_map_ids_) snapshot(id, out);
   return out;
 }
 
@@ -2263,44 +2199,6 @@ void JobDriver::trace_finish() {
     if (tracer_->task_open(ttok(owned->id))) {
       tracer_->task_end(ttok(owned->id), sim_->now(),
                         {{"status", "unfinished"}});
-    }
-  }
-  // Sharded engine: one counter row per event lane (ascending lane order,
-  // control lane last) so a trace shows how the window drain spread over
-  // the lanes. Classic engine emits nothing here.
-  if (sim_->node_lanes() > 0) {
-    const auto drained = sim_->lane_drained();
-    for (std::size_t lane = 0; lane < drained.size(); ++lane) {
-      const std::string name =
-          lane == drained.size() - 1 ? "lane_drained/control"
-                                     : "lane_drained/" + std::to_string(lane);
-      tracer_->counter(trace_ns_.job_pid, name, sim_->now(),
-                       static_cast<double>(drained[lane]));
-    }
-    // When a self-profiler is active, mirror its lane-imbalance summary
-    // into the trace so profiles and traces stay cross-navigable: host-ns
-    // busy time per lane plus the max/mean busy ratio. Same naming scheme
-    // as lane_drained, control lane last.
-    if (const obs::Profiler* prof = obs::Profiler::active()) {
-      const auto& lanes = prof->lanes();
-      std::uint64_t max_busy = 0;
-      std::uint64_t sum_busy = 0;
-      for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-        const std::string name =
-            lane == lanes.size() - 1
-                ? "lane_busy_host_ns/control"
-                : "lane_busy_host_ns/" + std::to_string(lane);
-        tracer_->counter(trace_ns_.job_pid, name, sim_->now(),
-                         static_cast<double>(lanes[lane].busy_ns));
-        max_busy = std::max(max_busy, lanes[lane].busy_ns);
-        sum_busy += lanes[lane].busy_ns;
-      }
-      if (!lanes.empty() && sum_busy > 0) {
-        const double mean = static_cast<double>(sum_busy) /
-                            static_cast<double>(lanes.size());
-        tracer_->counter(trace_ns_.job_pid, "lane_imbalance_max_over_mean",
-                         sim_->now(), static_cast<double>(max_busy) / mean);
-      }
     }
   }
   trace_end_phase();

@@ -120,19 +120,6 @@ class JobDriver final : public DriverContext {
                                       running_reduce_count_);
   }
 
-  /// Legacy failure injection: node `node` dies at absolute sim time
-  /// `time`, with *oracle* (instant) detection — equivalent to a
-  /// FaultPlan crash with silent=false and no rejoin. Must be called
-  /// before run(); throws ConfigError on an out-of-range node or a
-  /// negative time. Semantics on detection: the node's containers are
-  /// killed, its slots withdrawn, and the *input* of every map whose
-  /// output lived on the node is re-executed elsewhere (the standard
-  /// MapReduce recovery path). If the shuffle has already started and
-  /// some reducer still needs the lost outputs, the map phase re-opens
-  /// for those inputs and pre-compute reducers stall until the outputs
-  /// are regenerated.
-  void schedule_node_failure(NodeId node, SimTime time);
-
   /// Cluster-level failure notification from a shared-RM coordinator: the
   /// coordinator has already marked the node dead on the RM (exactly once,
   /// cluster-wide) and schedules the single post-failure re-offer itself.
@@ -154,8 +141,11 @@ class JobDriver final : public DriverContext {
   /// rejoin, silent death with heartbeat-expiry detection, degradation
   /// windows, per-attempt transient/launch failures, retry/blacklist
   /// knobs). Must be called before run(); single-job mode only. The plan
-  /// is validated (ConfigError) at start(). Legacy schedule_node_failure
-  /// entries are merged in as non-silent crashes.
+  /// is validated (ConfigError) at start(). When a crash is detected the
+  /// node's containers are killed, its slots withdrawn, and the *input*
+  /// of every map whose output lived on the node is re-executed elsewhere
+  /// (the standard MapReduce recovery path); pre-compute reducers that
+  /// still need the lost outputs stall until they are regenerated.
   void install_faults(faults::FaultPlan plan);
 
   // ---- AM crash + journaled recovery (recover::RecoveryRunner) ----------
@@ -222,7 +212,6 @@ class JobDriver final : public DriverContext {
   std::uint32_t total_free_slots() const override { return rm_.total_free(); }
   std::uint32_t total_slots() const override { return rm_.total_slots(); }
   std::vector<RunningMapInfo> running_maps() const override;
-  LaneSet* lane_set() const override { return sim_->lane_set(); }
   std::optional<MiBps> observed_ips(NodeId node) const override;
   double map_phase_progress() const override;
   std::size_t total_bus() const override { return layout_->bus.size(); }
@@ -459,9 +448,8 @@ class JobDriver final : public DriverContext {
   std::size_t reducers_started_snapshot_ = 0;
   bool reduce_force_dispatch_ = false;
   std::vector<std::size_t> reduce_requeue_;  ///< Reducers lost to failures.
-  std::vector<std::pair<NodeId, SimTime>> planned_failures_;
-  /// Fault plan installed before start(); merged with planned_failures_
-  /// and validated at start(). Empty plan == no fault machinery at all.
+  /// Fault plan installed before start(); validated at start(). Empty
+  /// plan == no fault machinery at all.
   faults::FaultPlan plan_;
   std::unique_ptr<faults::FaultInjector> injector_;
   /// Live NameNode view (created iff the fault plan is non-empty): per-

@@ -1,5 +1,8 @@
 #include "mr/metrics.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace flexmr::mr {
 
 const char* to_string(TaskKind kind) {
@@ -86,6 +89,41 @@ std::size_t JobResult::map_tasks_launched() const {
     if (task.kind == TaskKind::kMap) ++n;
   }
   return n;
+}
+
+JobResult merge_attempts(const std::vector<const JobResult*>& earlier,
+                         JobResult last,
+                         const std::vector<AmAttemptRecord>& records) {
+  if (!earlier.empty()) {
+    // Attempts are disjoint in time and internally chronological, so
+    // concatenation preserves order.
+    std::vector<TaskRecord> tasks;
+    std::vector<faults::FaultEvent> events;
+    for (const JobResult* r : earlier) {
+      tasks.insert(tasks.end(), r->tasks.begin(), r->tasks.end());
+      events.insert(events.end(), r->fault_events.begin(),
+                    r->fault_events.end());
+    }
+    tasks.insert(tasks.end(), last.tasks.begin(), last.tasks.end());
+    events.insert(events.end(), last.fault_events.begin(),
+                  last.fault_events.end());
+    last.tasks = std::move(tasks);
+    last.fault_events = std::move(events);
+    // The job began when attempt 1 did; AM downtime counts against JCT.
+    last.submit_time = earlier.front()->submit_time;
+    last.map_phase_start = earlier.front()->map_phase_start;
+    for (const JobResult* r : earlier) {
+      last.map_phase_end = std::max(last.map_phase_end, r->map_phase_end);
+    }
+  }
+  last.am_attempts = records;
+  last.redone_work_mib = 0;
+  last.redone_work_units = 0;
+  for (const AmAttemptRecord& rec : records) {
+    last.redone_work_mib += rec.wasted_mib;
+    last.redone_work_units += rec.wasted_units;
+  }
+  return last;
 }
 
 }  // namespace flexmr::mr

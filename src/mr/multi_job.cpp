@@ -286,39 +286,9 @@ JobResult MultiJobCoordinator::result(std::size_t job) const {
         std::to_string(am_recovery_.max_attempts) +
         " (am_max_attempts exhausted)";
   }
-  if (!entry.retired.empty()) {
-    // Attempts are disjoint in time and internally chronological, so
-    // concatenation preserves order.
-    std::vector<TaskRecord> tasks;
-    std::vector<faults::FaultEvent> events;
-    for (const auto& old : entry.retired) {
-      const JobResult& r = old->result();
-      tasks.insert(tasks.end(), r.tasks.begin(), r.tasks.end());
-      events.insert(events.end(), r.fault_events.begin(),
-                    r.fault_events.end());
-    }
-    tasks.insert(tasks.end(), merged.tasks.begin(), merged.tasks.end());
-    events.insert(events.end(), merged.fault_events.begin(),
-                  merged.fault_events.end());
-    merged.tasks = std::move(tasks);
-    merged.fault_events = std::move(events);
-    // The job began when attempt 1 did; AM downtime counts against JCT.
-    const JobResult& first = entry.retired.front()->result();
-    merged.submit_time = first.submit_time;
-    merged.map_phase_start = first.map_phase_start;
-    for (const auto& old : entry.retired) {
-      merged.map_phase_end =
-          std::max(merged.map_phase_end, old->result().map_phase_end);
-    }
-  }
-  merged.am_attempts = entry.attempt_records;
-  merged.redone_work_mib = 0;
-  merged.redone_work_units = 0;
-  for (const AmAttemptRecord& rec : entry.attempt_records) {
-    merged.redone_work_mib += rec.wasted_mib;
-    merged.redone_work_units += rec.wasted_units;
-  }
-  return merged;
+  std::vector<const JobResult*> earlier;
+  for (const auto& old : entry.retired) earlier.push_back(&old->result());
+  return merge_attempts(earlier, std::move(merged), entry.attempt_records);
 }
 
 void MultiJobCoordinator::preemption_pass() {

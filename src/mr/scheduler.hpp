@@ -86,12 +86,7 @@ class DriverContext {
 
   virtual std::vector<RunningMapInfo> running_maps() const = 0;
 
-  /// Worker threads of the sharded engine, or null on the classic engine
-  /// (and when the sharded engine runs threadless). Decision kernels may
-  /// fan *pure per-element computation* out over it — results must be
-  /// combined in element order and must not depend on cross-element FP
-  /// accumulation (see DESIGN.md §13.4); shared driver state stays
-  /// control-lane-only (LaneSet::on_worker() guards the mutating paths).
+  /// Always null; kept only because perfbench/seams.hpp overrides it.
   virtual LaneSet* lane_set() const { return nullptr; }
 
   /// Observed input-processing speed of `node` (Eq. 3): the average IPS

@@ -73,24 +73,6 @@ void Profiler::exit() {
   if (!stack_.empty()) stack_.back().child_ns += elapsed;
 }
 
-void Profiler::ensure_lanes(std::size_t lanes) {
-  if (lanes_.size() < lanes) lanes_.resize(lanes);
-}
-
-void Profiler::record_lane_drain(std::size_t lane, std::uint64_t busy_ns,
-                                 std::uint64_t drained) noexcept {
-  if (lane >= lanes_.size()) return;  // ensure_lanes not called: drop.
-  lanes_[lane].busy_ns += busy_ns;
-  lanes_[lane].drained += drained;
-}
-
-void Profiler::record_window(std::uint64_t drain_wall_ns,
-                             std::uint64_t merge_ns) noexcept {
-  windows_ += 1;
-  drain_wall_ns_ += drain_wall_ns;
-  merge_ns_ += merge_ns;
-}
-
 const Profiler::Scope* Profiler::find(const char* name) const noexcept {
   for (const Scope& s : scopes_) {
     if (s.name == name || std::strcmp(s.name, name) == 0) return &s;
@@ -133,42 +115,6 @@ std::string Profiler::json() const {
     w.end_object();
   }
   w.end_array();
-
-  w.key("lanes").begin_object();
-  w.field("windows", windows_);
-  w.field("drain_wall_ns", drain_wall_ns_);
-  w.field("merge_ns", merge_ns_);
-  w.key("per_lane").begin_array();
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const LaneStats& l = lanes_[i];
-    // Idle = the lane's share of drain wall time it did not spend draining.
-    const std::uint64_t idle =
-        drain_wall_ns_ > l.busy_ns ? drain_wall_ns_ - l.busy_ns : 0;
-    w.begin_object();
-    w.field("lane", static_cast<std::uint64_t>(i));
-    w.field("busy_ns", l.busy_ns);
-    w.field("idle_ns", idle);
-    w.field("drained", l.drained);
-    w.end_object();
-  }
-  w.end_array();
-  std::uint64_t max_busy = 0;
-  std::uint64_t sum_busy = 0;
-  for (const LaneStats& l : lanes_) {
-    max_busy = l.busy_ns > max_busy ? l.busy_ns : max_busy;
-    sum_busy += l.busy_ns;
-  }
-  const double mean_busy =
-      lanes_.empty() ? 0.0
-                     : static_cast<double>(sum_busy) /
-                           static_cast<double>(lanes_.size());
-  w.key("imbalance").begin_object();
-  w.field("max_busy_ns", max_busy);
-  w.field("mean_busy_ns", mean_busy);
-  w.field("max_over_mean",
-          mean_busy > 0.0 ? static_cast<double>(max_busy) / mean_busy : 0.0);
-  w.end_object();
-  w.end_object();
 
   w.end_object();
   return w.str();

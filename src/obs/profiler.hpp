@@ -13,16 +13,10 @@
 // effect on simulation state ever (the profiler only reads the host steady
 // clock), so golden hashes are byte-identical with profiling on or off.
 //
-// Threading contract:
-//  - The scope stack belongs to the thread that called `activate()` (the
-//    control thread). `FLEXMR_PROF_SCOPE` on any other thread is a no-op,
-//    which makes it safe to leave instrumentation in code that bench
-//    harnesses run on worker pools.
-//  - Lane telemetry (`record_lane_drain`) is written from LaneSet workers:
-//    the control thread sizes the per-lane table before fan-out
-//    (`ensure_lanes`), each lane index is drained by exactly one worker per
-//    window, and LaneSet::run()'s join gives the happens-before edge back
-//    to the control thread.
+// Threading contract: the scope stack belongs to the thread that called
+// `activate()` (the control thread). `FLEXMR_PROF_SCOPE` on any other
+// thread is a no-op, which makes it safe to leave instrumentation in code
+// that bench harnesses run on worker pools.
 #pragma once
 
 #include <chrono>
@@ -53,11 +47,6 @@ class Profiler {
     std::vector<std::uint32_t> children;
   };
 
-  struct LaneStats {
-    std::uint64_t busy_ns = 0;  ///< Host time this lane's drains took.
-    std::uint64_t drained = 0;  ///< Events drained from this lane.
-  };
-
   Profiler();
 
   /// The process-global profiler, or null (the default: everything off).
@@ -81,29 +70,9 @@ class Profiler {
   /// Closes the innermost open scope, charging its elapsed wall time.
   void exit();
 
-  // --- Lane telemetry (sharded engine) ----------------------------------
-
-  /// Grows the per-lane table to `lanes` entries. Control thread only,
-  /// before any drain fan-out that will record into those slots.
-  void ensure_lanes(std::size_t lanes);
-
-  /// Charges one lane drain. Safe from LaneSet workers: distinct lanes are
-  /// distinct slots, and the caller synchronizes via the LaneSet join.
-  void record_lane_drain(std::size_t lane, std::uint64_t busy_ns,
-                         std::uint64_t drained) noexcept;
-
-  /// Charges one conservative window: wall time of the whole drain phase
-  /// (all lanes, including worker idle) and of the serial k-way merge.
-  void record_window(std::uint64_t drain_wall_ns,
-                     std::uint64_t merge_ns) noexcept;
-
   // --- Introspection ----------------------------------------------------
 
   const std::vector<Scope>& scopes() const noexcept { return scopes_; }
-  const std::vector<LaneStats>& lanes() const noexcept { return lanes_; }
-  std::uint64_t windows() const noexcept { return windows_; }
-  std::uint64_t merge_ns() const noexcept { return merge_ns_; }
-  std::uint64_t drain_wall_ns() const noexcept { return drain_wall_ns_; }
 
   /// First scope with this name anywhere in the tree, or null. Scope names
   /// in the shipped taxonomy are unique per call site, so this is enough
@@ -114,8 +83,7 @@ class Profiler {
   std::uint64_t total_exclusive_ns() const noexcept;
 
   /// The flexmr.profile.v1 document: host metadata, wall time since
-  /// construction, the scope table (parents precede children), and the
-  /// per-lane table with an imbalance summary.
+  /// construction and the scope table (parents precede children).
   std::string json() const;
 
  private:
@@ -134,10 +102,6 @@ class Profiler {
   std::vector<Frame> stack_;
   std::vector<Scope> scopes_;
   std::vector<std::uint32_t> roots_;
-  std::vector<LaneStats> lanes_;
-  std::uint64_t windows_ = 0;
-  std::uint64_t merge_ns_ = 0;
-  std::uint64_t drain_wall_ns_ = 0;
 };
 
 /// RAII scope: opens `name` on construction if a profiler is active on this

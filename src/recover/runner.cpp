@@ -156,42 +156,11 @@ mr::JobResult RecoveryRunner::merge() const {
     merged.sim_queue_peak = counters.queue_peak;
   }
 
-  if (attempts_.size() > 1) {
-    // Prior attempts' task records and fault timelines come first: each
-    // attempt's are internally chronological and attempts are disjoint in
-    // time, so concatenation preserves order.
-    std::vector<mr::TaskRecord> tasks;
-    std::vector<faults::FaultEvent> events;
-    for (std::size_t i = 0; i + 1 < attempts_.size(); ++i) {
-      const mr::JobResult& r = attempts_[i]->result();
-      tasks.insert(tasks.end(), r.tasks.begin(), r.tasks.end());
-      events.insert(events.end(), r.fault_events.begin(),
-                    r.fault_events.end());
-    }
-    tasks.insert(tasks.end(), merged.tasks.begin(), merged.tasks.end());
-    events.insert(events.end(), merged.fault_events.begin(),
-                  merged.fault_events.end());
-    merged.tasks = std::move(tasks);
-    merged.fault_events = std::move(events);
-
-    // The job began when attempt 1 did; AM downtime counts against JCT.
-    const mr::JobResult& first = attempts_.front()->result();
-    merged.submit_time = first.submit_time;
-    merged.map_phase_start = first.map_phase_start;
-    for (const auto& attempt : attempts_) {
-      merged.map_phase_end =
-          std::max(merged.map_phase_end, attempt->result().map_phase_end);
-    }
+  std::vector<const mr::JobResult*> earlier;
+  for (std::size_t i = 0; i + 1 < attempts_.size(); ++i) {
+    earlier.push_back(&attempts_[i]->result());
   }
-
-  merged.am_attempts = attempt_records_;
-  merged.redone_work_mib = 0;
-  merged.redone_work_units = 0;
-  for (const mr::AmAttemptRecord& rec : attempt_records_) {
-    merged.redone_work_mib += rec.wasted_mib;
-    merged.redone_work_units += rec.wasted_units;
-  }
-  return merged;
+  return mr::merge_attempts(earlier, std::move(merged), attempt_records_);
 }
 
 }  // namespace flexmr::recover

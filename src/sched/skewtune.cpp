@@ -6,15 +6,8 @@
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
 #include "obs/tracer.hpp"
-#include "simcore/lane_set.hpp"
 
 namespace flexmr::sched {
-
-namespace {
-/// Minimum running-task count before the straggler scan fans out to the
-/// lane workers (matches the driver's snapshot threshold).
-constexpr std::size_t kParallelScanMin = 2048;
-}  // namespace
 
 void SkewTuneScheduler::on_job_start(mr::DriverContext& ctx) {
   StockHadoopScheduler::on_job_start(ctx);
@@ -73,58 +66,25 @@ TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) const {
   FLEXMR_PROF_SCOPE("sched/skewtune_argmax");
   const SimTime now = ctx.now();
   const auto running = ctx.running_maps();
-  // Candidate scoring is pure per-element FP (no accumulation across
-  // elements), and the strict-`>` argmax keeps the *first* maximum — so
-  // per-chunk argmaxes combined with the same strict `>` in chunk order
-  // give exactly the serial winner, and the scan may fan out over the
-  // lane workers on big clusters (DESIGN.md §13.4).
-  const auto time_left_of = [&](const mr::RunningMapInfo& info) -> double {
-    if (!info.computing) return 0;
-    if (mitigation_tasks_.contains(info.id)) return 0;
-    if (info.size_mib <= 2 * kBlockUnitMiB) return 0;  // nothing to split
+  // The strict `>` keeps the *first* maximum in snapshot order.
+  TaskId best = kInvalidTask;
+  double best_time_left = 0;
+  for (const auto& info : running) {
+    if (!info.computing) continue;
+    if (mitigation_tasks_.contains(info.id)) continue;
+    if (info.size_mib <= 2 * kBlockUnitMiB) continue;  // nothing to split
     const SimDuration elapsed = now - info.dispatch_time;
-    if (elapsed < options_.min_runtime_s) return 0;
+    if (elapsed < options_.min_runtime_s) continue;
     const double rate = info.progress / elapsed;
-    if (rate <= 0) return 0;
+    if (rate <= 0) continue;
     const double time_left = (1.0 - info.progress) / rate;
     // Mitigation must buy more than it costs. With k helpers the tail
     // shrinks to ~time_left/k but every helper pays the repartition
     // overhead; SkewTune's planner approximates this with a fixed factor.
     if (time_left <
         options_.min_benefit_factor * options_.repartition_overhead_s) {
-      return 0;
+      continue;
     }
-    return time_left;
-  };
-  TaskId best = kInvalidTask;
-  double best_time_left = 0;
-  LaneSet* lanes = ctx.lane_set();
-  if (lanes != nullptr && lanes->workers() > 0 &&
-      running.size() >= kParallelScanMin) {
-    const std::size_t max_chunks = lanes->workers() + 1;
-    std::vector<TaskId> chunk_best(max_chunks, kInvalidTask);
-    std::vector<double> chunk_time_left(max_chunks, 0);
-    lanes->run_chunked(
-        running.size(), kParallelScanMin,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const double time_left = time_left_of(running[i]);
-            if (time_left > chunk_time_left[chunk]) {
-              chunk_time_left[chunk] = time_left;
-              chunk_best[chunk] = running[i].id;
-            }
-          }
-        });
-    for (std::size_t chunk = 0; chunk < max_chunks; ++chunk) {
-      if (chunk_time_left[chunk] > best_time_left) {
-        best_time_left = chunk_time_left[chunk];
-        best = chunk_best[chunk];
-      }
-    }
-    return best;
-  }
-  for (const auto& info : running) {
-    const double time_left = time_left_of(info);
     if (time_left > best_time_left) {
       best_time_left = time_left;
       best = info.id;

@@ -8,15 +8,8 @@
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
 #include "obs/tracer.hpp"
-#include "simcore/lane_set.hpp"
 
 namespace flexmr::sched {
-
-namespace {
-/// Minimum running-task count before the LATE candidate build fans out to
-/// the lane workers (matches the driver's snapshot threshold).
-constexpr std::size_t kParallelScanMin = 2048;
-}  // namespace
 
 void StockHadoopScheduler::on_job_start(mr::DriverContext& ctx) {
   const auto& layout = ctx.layout();
@@ -192,47 +185,18 @@ std::optional<mr::MapLaunch> StockHadoopScheduler::late_speculate(
     double rate;
     double time_left;
   };
-  // Pure per-element filter + FP scoring: chunkable on the lane workers,
-  // with per-chunk vectors concatenated in chunk (= element) order so the
-  // candidate list — and therefore the percentile threshold and the
-  // first-wins argmax below — is byte-identical to the serial build
-  // (DESIGN.md §13.4).
-  const auto consider = [&](const mr::RunningMapInfo& info,
-                            std::vector<Candidate>& cands,
-                            std::vector<double>& rs) {
-    if (!info.computing || info.speculative || info.has_twin) return;
-    const SimDuration elapsed = now - info.dispatch_time;
-    if (elapsed < options_.late.min_runtime_s) return;
-    if (info.progress >= options_.late.max_progress) return;
-    if (info.node == node) return;  // a copy next to the original is useless
-    const double rate = info.progress / elapsed;
-    if (rate <= 0) return;
-    cands.push_back({info.id, rate, (1.0 - info.progress) / rate});
-    rs.push_back(rate);
-  };
   std::vector<Candidate> candidates;
   std::vector<double> rates;
-  LaneSet* lanes = ctx.lane_set();
-  if (lanes != nullptr && lanes->workers() > 0 &&
-      running.size() >= kParallelScanMin) {
-    const std::size_t max_chunks = lanes->workers() + 1;
-    std::vector<std::vector<Candidate>> cand_parts(max_chunks);
-    std::vector<std::vector<double>> rate_parts(max_chunks);
-    lanes->run_chunked(
-        running.size(), kParallelScanMin,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            consider(running[i], cand_parts[chunk], rate_parts[chunk]);
-          }
-        });
-    for (std::size_t chunk = 0; chunk < max_chunks; ++chunk) {
-      candidates.insert(candidates.end(), cand_parts[chunk].begin(),
-                        cand_parts[chunk].end());
-      rates.insert(rates.end(), rate_parts[chunk].begin(),
-                   rate_parts[chunk].end());
-    }
-  } else {
-    for (const auto& info : running) consider(info, candidates, rates);
+  for (const auto& info : running) {
+    if (!info.computing || info.speculative || info.has_twin) continue;
+    const SimDuration elapsed = now - info.dispatch_time;
+    if (elapsed < options_.late.min_runtime_s) continue;
+    if (info.progress >= options_.late.max_progress) continue;
+    if (info.node == node) continue;  // a copy next to the original is useless
+    const double rate = info.progress / elapsed;
+    if (rate <= 0) continue;
+    candidates.push_back({info.id, rate, (1.0 - info.progress) / rate});
+    rates.push_back(rate);
   }
   if (candidates.empty()) return std::nullopt;
 

@@ -1,106 +1,14 @@
 #include "simcore/simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
-#include "simcore/lane_set.hpp"
 
 namespace flexmr {
 
-namespace {
-
-/// Nanoseconds elapsed since `t0` on the profiler's clock (0 if negative).
-std::uint64_t ns_since(obs::Profiler::Clock::time_point t0) {
-  const auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     obs::Profiler::Clock::now() - t0)
-                     .count();
-  return d > 0 ? static_cast<std::uint64_t>(d) : 0;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Sharded-engine state (DESIGN.md §13)
-// ---------------------------------------------------------------------------
-//
-// Invariant tying the two engines together: `entries` below always equals
-// what the classic engine's queue_.size() would be after the same schedule/
-// fire/cancel history — entries are counted in at schedule and counted out
-// exactly when the merged fire loop consumes them (fired or skipped as
-// cancelled residue), which is the same (time, seq) position at which the
-// classic engine pops them. queue_peak, the compaction trigger and the
-// compaction count therefore match byte for byte.
-struct Simulator::ShardState {
-  std::uint32_t lanes = 0;     ///< Node lanes; heap index `lanes` = control.
-  SimDuration lookahead = 0;   ///< Window length (heartbeat interval).
-  std::unique_ptr<LaneSet> workers;
-
-  /// One binary min-heap on (time, seq) per lane, control last.
-  std::vector<std::vector<QueueEntry>> heaps;
-  /// Per-lane drain buffers, reused across windows (sorted runs).
-  std::vector<std::vector<QueueEntry>> drained;
-  /// The current window's merged fire batch, ascending (time, seq);
-  /// batch[0, batch_pos) is already consumed.
-  std::vector<QueueEntry> batch;
-  std::size_t batch_pos = 0;
-  /// Min-heap of events scheduled *into* the open window (a handler
-  /// scheduling work before window_end); merged with the batch at fire.
-  std::vector<QueueEntry> overflow;
-  SimTime window_end = 0;
-  bool window_open = false;
-  /// Total entries across heaps + unconsumed batch + overflow — the
-  /// classic queue_.size() equivalent (see invariant above).
-  std::size_t entries = 0;
-
-  /// Only fan the drain out to the workers when there is enough queued
-  /// work to amortize the wakeup; below this the inline drain wins.
-  static constexpr std::size_t kParallelDrainMin = 2048;
-
-  std::uint64_t windows = 0;
-  std::uint64_t max_batch = 0;
-  std::vector<std::uint64_t> lane_drained;
-};
-
-Simulator::Simulator() = default;
-Simulator::~Simulator() = default;
-
-void Simulator::configure_lanes(std::uint32_t node_lanes,
-                                SimDuration lookahead, std::size_t threads) {
-  FLEXMR_ASSERT_MSG(counters_.scheduled == 0,
-                    "configure_lanes before scheduling any event");
-  FLEXMR_ASSERT_MSG(node_lanes > 0, "at least one node lane");
-  FLEXMR_ASSERT_MSG(lookahead > 0.0, "lookahead must be positive");
-  shard_ = std::make_unique<ShardState>();
-  shard_->lanes = node_lanes;
-  shard_->lookahead = lookahead;
-  if (threads == 0) threads = LaneSet::default_threads();
-  shard_->workers = std::make_unique<LaneSet>(threads);
-  shard_->heaps.resize(node_lanes + 1);
-  shard_->drained.resize(node_lanes + 1);
-  shard_->lane_drained.assign(node_lanes + 1, 0);
-}
-
-std::uint32_t Simulator::node_lanes() const {
-  return shard_ ? shard_->lanes : 0;
-}
-
-std::uint32_t Simulator::lane_for_node(std::uint32_t node) const {
-  return shard_ ? node % shard_->lanes : kControlLane;
-}
-
-LaneSet* Simulator::lane_set() const {
-  return shard_ ? shard_->workers.get() : nullptr;
-}
-
-std::vector<std::uint64_t> Simulator::lane_drained() const {
-  return shard_ ? shard_->lane_drained : std::vector<std::uint64_t>{};
-}
-
-EventId Simulator::schedule_on(std::uint32_t lane, SimTime t,
-                               Handler handler) {
+EventId Simulator::schedule_at(SimTime t, Handler handler) {
   FLEXMR_ASSERT_MSG(t >= now_, "cannot schedule event in the past");
   FLEXMR_ASSERT(static_cast<bool>(handler));
 
@@ -116,31 +24,12 @@ EventId Simulator::schedule_on(std::uint32_t lane, SimTime t,
   const EventId id =
       (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
 
-  const std::uint64_t seq = next_seq_++;
-  const QueueEntry entry{t, seq, id};
-  if (shard_ == nullptr) {
-    queue_.push_back(entry);
-    std::push_heap(queue_.begin(), queue_.end(), EntryAfter{});
-  } else {
-    ShardState& s = *shard_;
-    if (s.window_open && t < s.window_end) {
-      // Scheduled into the open window: must interleave with the already-
-      // drained batch, so it goes to the overflow heap the fire loop
-      // merges from.
-      s.overflow.push_back(entry);
-      std::push_heap(s.overflow.begin(), s.overflow.end(), EntryAfter{});
-    } else {
-      auto& heap =
-          s.heaps[lane == kControlLane ? s.lanes : lane % s.lanes];
-      heap.push_back(entry);
-      std::push_heap(heap.begin(), heap.end(), EntryAfter{});
-    }
-    ++s.entries;
-  }
+  queue_.push_back(QueueEntry{t, next_seq_++, id});
+  std::push_heap(queue_.begin(), queue_.end(), EntryAfter{});
   ++live_count_;
   ++counters_.scheduled;
-  counters_.queue_peak = std::max<std::uint64_t>(
-      counters_.queue_peak, shard_ ? shard_->entries : queue_.size());
+  counters_.queue_peak =
+      std::max<std::uint64_t>(counters_.queue_peak, queue_.size());
   return id;
 }
 
@@ -161,8 +50,7 @@ bool Simulator::cancel(EventId id) {
   release_slot(slot);
   ++counters_.cancelled;
   ++dead_in_queue_;  // the queue entry is skipped lazily — or compacted:
-  const std::size_t size = shard_ ? shard_->entries : queue_.size();
-  if (dead_in_queue_ > live_count_ && size >= kCompactMinEntries) {
+  if (dead_in_queue_ > live_count_ && queue_.size() >= kCompactMinEntries) {
     compact();
   }
   return true;
@@ -170,39 +58,9 @@ bool Simulator::cancel(EventId id) {
 
 void Simulator::compact() {
   FLEXMR_PROF_SCOPE("sim/compact");
-  const auto dead = [this](const QueueEntry& entry) {
-    return !pending(entry.id);
-  };
-  if (shard_ == nullptr) {
-    std::erase_if(queue_, dead);
-    std::make_heap(queue_.begin(), queue_.end(), EntryAfter{});
-  } else {
-    ShardState& s = *shard_;
-    std::size_t removed = 0;
-    for (auto& heap : s.heaps) {
-      const std::size_t before = heap.size();
-      std::erase_if(heap, dead);
-      removed += before - heap.size();
-      std::make_heap(heap.begin(), heap.end(), EntryAfter{});
-    }
-    {
-      const std::size_t before = s.overflow.size();
-      std::erase_if(s.overflow, dead);
-      removed += before - s.overflow.size();
-      std::make_heap(s.overflow.begin(), s.overflow.end(), EntryAfter{});
-    }
-    {
-      // Only the unconsumed tail is live storage; erasing preserves order.
-      const std::size_t before = s.batch.size();
-      s.batch.erase(
-          std::remove_if(
-              s.batch.begin() + static_cast<std::ptrdiff_t>(s.batch_pos),
-              s.batch.end(), dead),
-          s.batch.end());
-      removed += before - s.batch.size();
-    }
-    s.entries -= removed;
-  }
+  std::erase_if(queue_,
+                [this](const QueueEntry& entry) { return !pending(entry.id); });
+  std::make_heap(queue_.begin(), queue_.end(), EntryAfter{});
   dead_in_queue_ = 0;
   ++counters_.compactions;
   FLEXMR_LOG(Debug, "sim") << "compacted event queue at t=" << now_
@@ -212,7 +70,6 @@ void Simulator::compact() {
 }
 
 bool Simulator::step() {
-  if (shard_ != nullptr) return step_sharded();
   while (!queue_.empty()) {
     const QueueEntry entry = queue_.front();
     std::pop_heap(queue_.begin(), queue_.end(), EntryAfter{});
@@ -239,149 +96,6 @@ bool Simulator::step() {
   return false;
 }
 
-bool Simulator::open_window() {
-  ShardState& s = *shard_;
-  // Window start: the earliest entry across all lanes. A cancelled head
-  // still counts — the classic engine would pop it at exactly that (time,
-  // seq) position, so the batch must contain (and consume) it there too.
-  bool any = false;
-  SimTime t_min = 0;
-  for (const auto& heap : s.heaps) {
-    if (!heap.empty() && (!any || heap.front().time < t_min)) {
-      t_min = heap.front().time;
-      any = true;
-    }
-  }
-  if (!any) return false;
-  s.window_end = t_min + s.lookahead;
-  const SimTime window_end = s.window_end;
-
-  // Lane telemetry: the table is sized on the control thread before the
-  // fan-out; each lane slot is then written by exactly one drainer, and the
-  // LaneSet join publishes the writes back to this thread.
-  obs::Profiler* const prof = obs::Profiler::active();
-  if (prof != nullptr) prof->ensure_lanes(s.heaps.size());
-
-  // Concurrent per-lane drain: pure POD heap work on lane-local storage —
-  // no slot-table access, no shared mutation, so the lanes are trivially
-  // race-free. Each run comes out sorted ascending (time, seq).
-  const auto drain_lane = [&s, window_end, prof](std::size_t lane) {
-    const auto t0 = prof != nullptr ? obs::Profiler::Clock::now()
-                                    : obs::Profiler::Clock::time_point{};
-    auto& heap = s.heaps[lane];
-    auto& out = s.drained[lane];
-    out.clear();
-    while (!heap.empty() && heap.front().time < window_end) {
-      out.push_back(heap.front());
-      std::pop_heap(heap.begin(), heap.end(), EntryAfter{});
-      heap.pop_back();
-    }
-    s.lane_drained[lane] += out.size();
-    if (prof != nullptr) {
-      prof->record_lane_drain(lane, ns_since(t0), out.size());
-    }
-  };
-  std::uint64_t drain_wall_ns = 0;
-  {
-    FLEXMR_PROF_SCOPE("sim/window_drain");
-    const auto t0 = prof != nullptr ? obs::Profiler::Clock::now()
-                                    : obs::Profiler::Clock::time_point{};
-    if (s.workers->workers() > 0 &&
-        s.entries >= ShardState::kParallelDrainMin) {
-      s.workers->run(s.heaps.size(), drain_lane);
-    } else {
-      for (std::size_t lane = 0; lane < s.heaps.size(); ++lane) {
-        drain_lane(lane);
-      }
-    }
-    if (prof != nullptr) drain_wall_ns = ns_since(t0);
-  }
-
-  // Serial merge of the sorted runs into the fire batch. The merge key is
-  // (time, seq) — the classic engine's exact total order. This is the
-  // normative cross-lane merge order: lane identity never participates,
-  // which is what keeps shared-state handlers (scheduler, RM, one RNG
-  // stream) byte-identical to the single-heap engine.
-  std::uint64_t merge_ns = 0;
-  {
-    FLEXMR_PROF_SCOPE("sim/window_merge");
-    const auto t0 = prof != nullptr ? obs::Profiler::Clock::now()
-                                    : obs::Profiler::Clock::time_point{};
-    s.batch.clear();
-    s.batch_pos = 0;
-    std::size_t total = 0;
-    for (const auto& run : s.drained) total += run.size();
-    s.batch.reserve(total);
-    std::vector<std::size_t> cursor(s.drained.size(), 0);
-    for (std::size_t taken = 0; taken < total; ++taken) {
-      std::size_t best_lane = s.drained.size();
-      for (std::size_t lane = 0; lane < s.drained.size(); ++lane) {
-        if (cursor[lane] >= s.drained[lane].size()) continue;
-        if (best_lane == s.drained.size() ||
-            s.drained[best_lane][cursor[best_lane]] >
-                s.drained[lane][cursor[lane]]) {
-          best_lane = lane;
-        }
-      }
-      s.batch.push_back(s.drained[best_lane][cursor[best_lane]++]);
-    }
-    if (prof != nullptr) merge_ns = ns_since(t0);
-  }
-  if (prof != nullptr) prof->record_window(drain_wall_ns, merge_ns);
-  s.window_open = true;
-  ++s.windows;
-  s.max_batch = std::max<std::uint64_t>(s.max_batch, s.batch.size());
-  return true;
-}
-
-bool Simulator::step_sharded() {
-  ShardState& s = *shard_;
-  for (;;) {
-    while (s.batch_pos < s.batch.size() || !s.overflow.empty()) {
-      // Next event = min of the batch head and the overflow head (events
-      // scheduled into the open window), still exact (time, seq) order.
-      bool from_overflow;
-      if (s.batch_pos >= s.batch.size()) {
-        from_overflow = true;
-      } else if (s.overflow.empty()) {
-        from_overflow = false;
-      } else {
-        from_overflow = s.batch[s.batch_pos] > s.overflow.front();
-      }
-      QueueEntry entry;
-      if (from_overflow) {
-        entry = s.overflow.front();
-        std::pop_heap(s.overflow.begin(), s.overflow.end(), EntryAfter{});
-        s.overflow.pop_back();
-      } else {
-        entry = s.batch[s.batch_pos++];
-      }
-      --s.entries;
-      const std::uint32_t slot = slot_of(entry.id);
-      if (slots_[slot].generation != generation_of(entry.id)) {
-        --dead_in_queue_;  // cancelled residue
-        continue;
-      }
-      Handler handler = std::move(slots_[slot].handler);
-      slots_[slot].handler.reset();
-      release_slot(slot);
-      FLEXMR_ASSERT(entry.time >= now_);
-      now_ = entry.time;
-      ++counters_.fired;
-      {
-        FLEXMR_PROF_SCOPE("sim/dispatch");
-        handler();
-      }
-      return true;
-    }
-    // Window exhausted: close it and open the next one.
-    s.window_open = false;
-    s.batch.clear();
-    s.batch_pos = 0;
-    if (!open_window()) return false;
-  }
-}
-
 void Simulator::run(std::uint64_t max_events) {
   // Exactly `max_events` events may fire; event max_events + 1 must not.
   for (std::uint64_t fired = 0; fired < max_events; ++fired) {
@@ -394,76 +108,15 @@ void Simulator::run(std::uint64_t max_events) {
 
 void Simulator::run_until(SimTime t) {
   FLEXMR_ASSERT(t >= now_);
-  if (shard_ == nullptr) {
-    while (!queue_.empty()) {
-      const QueueEntry entry = queue_.front();
-      if (!pending(entry.id)) {
-        std::pop_heap(queue_.begin(), queue_.end(), EntryAfter{});
-        queue_.pop_back();
-        --dead_in_queue_;
-        continue;
-      }
-      if (entry.time > t) break;
-      step();
-    }
-    now_ = t;
-    return;
-  }
-  // Sharded mirror of the same front-of-queue contract: the "front" is the
-  // global (time, seq) minimum across the batch, the overflow and every
-  // lane head. Cancelled residue at the front is popped (even past t, as
-  // the classic engine does); the first live entry past t stops the loop;
-  // events at exactly t — including ones scheduled during this call —
-  // fire in seq order, and the clock lands on exactly t.
-  ShardState& s = *shard_;
-  for (;;) {
-    enum class Source { kNone, kBatch, kOverflow, kHeap };
-    Source source = Source::kNone;
-    std::size_t heap_index = 0;
-    const QueueEntry* front = nullptr;
-    const auto consider = [&](const QueueEntry& entry, Source from,
-                              std::size_t index) {
-      if (front == nullptr || *front > entry) {
-        front = &entry;
-        source = from;
-        heap_index = index;
-      }
-    };
-    if (s.batch_pos < s.batch.size()) {
-      consider(s.batch[s.batch_pos], Source::kBatch, 0);
-    }
-    if (!s.overflow.empty()) {
-      consider(s.overflow.front(), Source::kOverflow, 0);
-    }
-    for (std::size_t lane = 0; lane < s.heaps.size(); ++lane) {
-      if (!s.heaps[lane].empty()) {
-        consider(s.heaps[lane].front(), Source::kHeap, lane);
-      }
-    }
-    if (front == nullptr) break;
-    if (!pending(front->id)) {
-      switch (source) {
-        case Source::kBatch:
-          ++s.batch_pos;
-          break;
-        case Source::kOverflow:
-          std::pop_heap(s.overflow.begin(), s.overflow.end(), EntryAfter{});
-          s.overflow.pop_back();
-          break;
-        case Source::kHeap: {
-          auto& heap = s.heaps[heap_index];
-          std::pop_heap(heap.begin(), heap.end(), EntryAfter{});
-          heap.pop_back();
-          break;
-        }
-        case Source::kNone:
-          break;
-      }
-      --s.entries;
+  while (!queue_.empty()) {
+    const QueueEntry entry = queue_.front();
+    if (!pending(entry.id)) {
+      std::pop_heap(queue_.begin(), queue_.end(), EntryAfter{});
+      queue_.pop_back();
       --dead_in_queue_;
       continue;
     }
-    if (front->time > t) break;
+    if (entry.time > t) break;
     step();
   }
   now_ = t;

@@ -15,20 +15,10 @@
 // stores them inline). Lazily-cancelled queue entries are compacted away
 // once they outnumber live events, so heavy re-estimation churn cannot grow
 // the heap without bound.
-//
-// Sharded mode (DESIGN.md §13): configure_lanes() splits the one heap into
-// per-node event lanes plus a control lane, executed over a conservative
-// synchronization window whose lookahead is the heartbeat interval. Within
-// a window the lanes are *drained* concurrently (POD heap work only); the
-// drained runs are then merged and FIRED serially in exact (time, seq)
-// order, so every observable byte — JobResult JSON, queue_peak, compaction
-// count — is identical to the classic single-heap engine. The default
-// (no lanes configured) keeps the classic engine untouched.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -156,68 +146,22 @@ class EventHandler {
   const Ops* ops_ = nullptr;
 };
 
-class LaneSet;
-
 class Simulator {
  public:
   using Handler = EventHandler;
 
-  /// Lane affinity value meaning "the control lane" (AM/RM/NameNode/
-  /// scheduler events). Also what lane_for_node returns on the classic
-  /// engine, where affinity is meaningless.
-  static constexpr std::uint32_t kControlLane = 0xffffffffu;
-
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// Switches this simulator to the sharded engine: `node_lanes` per-node
-  /// event lanes plus one control lane, synchronized over windows of
-  /// `lookahead` simulated seconds (the heartbeat interval is the natural
-  /// choice — see DESIGN.md §13). `threads` sizes the LaneSet draining the
-  /// lanes; 0 = auto (hardware threads minus one, i.e. inline on a
-  /// single-core host). Must be called before any event is scheduled.
-  void configure_lanes(std::uint32_t node_lanes, SimDuration lookahead,
-                       std::size_t threads = 0);
-
-  /// Node lanes configured; 0 = classic single-heap engine.
-  std::uint32_t node_lanes() const;
-
-  /// The lane owning `node`'s events (node % node_lanes), or kControlLane
-  /// on the classic engine. Affinity is a *placement* hint: fire order is
-  /// global (time, seq) regardless, so a mislabeled event is a load-balance
-  /// miss, never a correctness bug.
-  std::uint32_t lane_for_node(std::uint32_t node) const;
-
-  /// The worker set draining the lanes, for read-only decision kernels to
-  /// fan out over (null on the classic engine).
-  LaneSet* lane_set() const;
-
-  /// Events drained per lane so far (index node_lanes() = control lane).
-  /// Empty on the classic engine. Exported as per-lane tracks in traces.
-  std::vector<std::uint64_t> lane_drained() const;
 
   SimTime now() const { return now_; }
 
   /// Schedules `handler` to fire at absolute time `t` (>= now).
-  EventId schedule_at(SimTime t, Handler handler) {
-    return schedule_on(kControlLane, t, std::move(handler));
-  }
+  EventId schedule_at(SimTime t, Handler handler);
 
   /// Schedules `handler` to fire `delay` seconds from now (delay >= 0).
   EventId schedule_after(SimDuration delay, Handler handler) {
-    return schedule_on(kControlLane, now_ + delay, std::move(handler));
-  }
-
-  /// Lane-affine schedule: like schedule_at, but the event lives on
-  /// `lane` (a value from lane_for_node, or kControlLane). On the classic
-  /// engine the lane is ignored.
-  EventId schedule_on(std::uint32_t lane, SimTime t, Handler handler);
-
-  EventId schedule_on_after(std::uint32_t lane, SimDuration delay,
-                            Handler handler) {
-    return schedule_on(lane, now_ + delay, std::move(handler));
+    return schedule_at(now_ + delay, std::move(handler));
   }
 
   /// Cancels a pending event; returns false if it already fired or was
@@ -287,17 +231,8 @@ class Simulator {
   /// Frees a slot (handler already disposed of by the caller).
   void release_slot(std::uint32_t slot);
 
-  /// Rebuilds the heap(s) with only live entries.
+  /// Rebuilds the heap with only live entries.
   void compact();
-
-  /// Sharded engine: computes the next window [t_min, t_min + lookahead),
-  /// drains every lane concurrently and merges the runs into the fire
-  /// batch. Returns false when every lane is empty.
-  bool open_window();
-
-  /// Sharded engine: fires the next batch/overflow event in (time, seq)
-  /// order; opens windows as they exhaust.
-  bool step_sharded();
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
@@ -306,25 +241,9 @@ class Simulator {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;
-  /// Cancelled entries still sitting in the queue/lanes awaiting a lazy
-  /// skip (or a compaction sweep).
+  /// Cancelled entries still sitting in the queue awaiting a lazy skip
+  /// (or a compaction sweep).
   std::size_t dead_in_queue_ = 0;
-  /// Sharded-engine state; null = classic single-heap engine (every hot
-  /// path branches on this one pointer).
-  struct ShardState;
-  std::unique_ptr<ShardState> shard_;
-};
-
-/// The sharded engine under its own name: a Simulator constructed directly
-/// into lane mode. Drop-in wherever a Simulator& flows (JobDriver,
-/// RecoveryRunner, MultiJobCoordinator) — sharding changes the internal
-/// execution strategy, not the observable contract.
-class ShardedSimulator : public Simulator {
- public:
-  ShardedSimulator(std::uint32_t node_lanes, SimDuration lookahead,
-                   std::size_t threads = 0) {
-    configure_lanes(node_lanes, lookahead, threads);
-  }
 };
 
 }  // namespace flexmr

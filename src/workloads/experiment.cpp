@@ -64,22 +64,12 @@ mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
                       const RunConfig& config) {
   cluster.reset();
   Simulator sim;
-  if (config.lanes > 0) {
-    // The heartbeat interval is the natural conservative lookahead: it is
-    // the cadence at which node-local progress feeds back into global
-    // scheduling decisions (DESIGN.md §13).
-    sim.configure_lanes(config.lanes, config.params.heartbeat_period_s,
-                        config.lane_threads);
-  }
   // Admission check: rs(k,m) needs k+m distinct holders among the nodes
   // that are actually up when the file is written (t=0). Nodes crashing
   // later degrade reads; nodes already down shrink the placement domain.
   std::uint32_t alive0 = cluster.num_nodes();
   for (const auto& crash : config.faults.crashes) {
     if (crash.at <= 0.0) --alive0;
-  }
-  for (const auto& [node, time] : config.node_failures) {
-    if (time <= 0.0) --alive0;
   }
   config.storage.validate(alive0);
   const auto layout =
@@ -91,13 +81,8 @@ mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
     // permanently done() without finishing, and only the runner can play
     // YARN's re-launch role. Crash-free plans stay on the plain path below
     // (byte-identical to builds without recovery code).
-    faults::FaultPlan plan = config.faults;
-    for (const auto& [node, time] : config.node_failures) {
-      plan.crashes.push_back(
-          faults::NodeCrash{node, time, std::nullopt, /*silent=*/false});
-    }
     recover::RecoveryRunner runner(sim, cluster, layout, spec, config.params,
-                                   scheduler, std::move(plan), config.trace);
+                                   scheduler, config.faults, config.trace);
     auto result = runner.run();
     result.scheduler = scheduler.name();
     return result;
@@ -105,9 +90,6 @@ mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
   mr::JobDriver driver(sim, cluster, layout, spec, config.params, scheduler);
   if (config.trace != nullptr) driver.set_trace(config.trace);
   if (!config.faults.empty()) driver.install_faults(config.faults);
-  for (const auto& [node, time] : config.node_failures) {
-    driver.schedule_node_failure(node, time);
-  }
   auto result = driver.run();
   result.scheduler = scheduler.name();
   return result;

@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -48,9 +47,6 @@ struct RunConfig {
   /// against the nodes alive at t=0 before the layout is built.
   hdfs::StoragePolicy storage;
   mr::SimParams params;  ///< params.seed controls the whole run.
-  /// Failure injection: (node, time) pairs applied before the run starts.
-  /// Legacy oracle-detected crashes; merged into `faults` by the driver.
-  std::vector<std::pair<NodeId, SimTime>> node_failures;
   /// Declarative fault plan (crashes with rejoin, transient attempt
   /// failures, launch failures, degradation windows). Empty = no faults.
   faults::FaultPlan faults;
@@ -59,16 +55,6 @@ struct RunConfig {
   /// instrumentation; a run with tracing on is event-for-event identical
   /// to the same run with tracing off.
   obs::TraceSession* trace = nullptr;
-  /// > 0 runs the job on the sharded engine with this many per-node event
-  /// lanes (plus the control lane), lookahead = params.heartbeat_period_s.
-  /// 0 (the default) keeps the classic single-heap engine. Results are
-  /// byte-identical either way (DESIGN.md §13) — this selects an execution
-  /// strategy, not a semantics.
-  std::uint32_t lanes = 0;
-  /// Worker threads for the sharded engine's lane drain and decision-
-  /// kernel fan-outs; 0 = auto (hardware threads minus one, which means
-  /// inline execution on a single-core host).
-  std::size_t lane_threads = 0;
 };
 
 /// Runs one job on `cluster` (which is reset first) and returns its

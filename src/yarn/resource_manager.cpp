@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/profiler.hpp"
-#include "simcore/lane_set.hpp"
 
 namespace flexmr::yarn {
 
@@ -58,11 +57,6 @@ void ResourceManager::mark_alive(NodeId node) {
 }
 
 void ResourceManager::offer_node(NodeId node) {
-  // Offers mutate global slot accounting and cascade into scheduler
-  // decisions: control-lane-only on the sharded engine. A lane worker
-  // reaching here means a decision kernel leaked shared-state mutation.
-  FLEXMR_ASSERT_MSG(!LaneSet::on_worker(),
-                    "RM offer from a lane worker (control-lane only)");
   if (!handler_ || offering_ || dead_[node]) return;
   FLEXMR_PROF_SCOPE("rm/offer_node");
   offering_ = true;
@@ -74,8 +68,6 @@ void ResourceManager::offer_node(NodeId node) {
 }
 
 void ResourceManager::offer_all() {
-  FLEXMR_ASSERT_MSG(!LaneSet::on_worker(),
-                    "RM offer from a lane worker (control-lane only)");
   if (!handler_ || offering_) return;
   // This walk is the O(nodes) per-heartbeat control term the 10k grid
   // exposed (ROADMAP): attribute it even when no slot is granted.

@@ -1,9 +1,6 @@
-// The pinned golden cases shared by the classic-engine determinism suite
-// (test_golden_determinism.cpp) and the sharded-engine byte-identity suite
-// (test_sharded_golden.cpp): both must reproduce the same FNV-1a hashes of
-// the JobResult JSON, for every scheduler, with and without the canonical
-// fault plan — the goldens are the contract that sharding changed the
-// execution strategy and not one observable byte.
+// The pinned golden cases shared by the determinism, profiler and erasure
+// suites: each must reproduce the same FNV-1a hashes of the JobResult
+// JSON, for every scheduler, with and without the canonical fault plan.
 //
 // To regenerate after an *intentional* output change, run with
 // FLEXMR_REGEN_GOLDEN=1 (see test_golden_determinism.cpp for the
@@ -79,20 +76,15 @@ inline faults::FaultPlan golden_fault_plan() {
 }
 
 /// One golden run on the paper's 20-node virtual cluster, returning the
-/// JobResult JSON. `lanes` > 0 selects the sharded engine (lane_threads
-/// worker threads; 0 = auto).
+/// JobResult JSON.
 inline std::string run_case(const GoldenCase& c, const faults::FaultPlan& plan,
-                            obs::TraceSession* trace = nullptr,
-                            std::uint32_t lanes = 0,
-                            std::size_t lane_threads = 0) {
+                            obs::TraceSession* trace = nullptr) {
   auto cluster = cluster::presets::virtual20();
   workloads::RunConfig config;
   config.block_size = c.block_size;
   config.params.seed = 1234;
   config.faults = plan;
   config.trace = trace;
-  config.lanes = lanes;
-  config.lane_threads = lane_threads;
   const auto result =
       workloads::run_job(cluster, workloads::benchmark("WC"),
                          workloads::InputScale::kSmall, c.kind, config);

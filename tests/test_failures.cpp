@@ -19,6 +19,12 @@ workloads::Benchmark bench_with(MiB input, double shuffle) {
   return bench;
 }
 
+/// Appends an oracle-detected, permanent crash of `node` at `at`.
+void crash(RunConfig& config, NodeId node, SimTime at) {
+  config.faults.crashes.push_back(
+      faults::NodeCrash{node, at, std::nullopt, /*silent=*/false});
+}
+
 void check_exactly_once(const mr::JobResult& result,
                         std::size_t total_bus) {
   std::size_t credited = 0;
@@ -35,7 +41,7 @@ class FailureSweep : public ::testing::TestWithParam<SchedulerKind> {};
 TEST_P(FailureSweep, MidMapPhaseFailureStillCompletes) {
   auto cluster = cluster::presets::homogeneous6();
   RunConfig config;
-  config.node_failures = {{2, 20.0}};  // mid map phase
+  crash(config, 2, 20.0);  // mid map phase
   const auto result = workloads::run_job(
       cluster, bench_with(2048.0, 0.25), InputScale::kSmall, GetParam(),
       config);
@@ -53,7 +59,7 @@ TEST_P(FailureSweep, LostOutputsAreReexecuted) {
   RunConfig config;
   // 4096 MiB → ~2.7 waves of 64 MB maps (~25 s map phase); at t=12 the
   // first wave on node 0 has completed but the phase is far from done.
-  config.node_failures = {{0, 12.0}};
+  crash(config, 0, 12.0);
   const auto result = workloads::run_job(
       cluster, bench_with(4096.0, 0.5), InputScale::kSmall, GetParam(),
       config);
@@ -67,7 +73,7 @@ TEST_P(FailureSweep, LostOutputsAreReexecuted) {
 TEST_P(FailureSweep, MapOnlyJobKeepsDeadNodesOutputs) {
   auto cluster = cluster::presets::homogeneous6();
   RunConfig config;
-  config.node_failures = {{1, 30.0}};
+  crash(config, 1, 30.0);
   const auto result = workloads::run_job(
       cluster, bench_with(2048.0, 0.0), InputScale::kSmall, GetParam(),
       config);
@@ -88,7 +94,7 @@ TEST_P(FailureSweep, FailureDuringReducePhaseRequeuesReducers) {
   const SimTime fail_at =
       reference.map_phase_end + reference.jct() * 0.02 + 1.0;
   RunConfig config;
-  config.node_failures = {{3, fail_at}};
+  crash(config, 3, fail_at);
   auto cluster2 = cluster::presets::homogeneous6();
   const auto result = workloads::run_job(
       cluster2, bench_with(1024.0, 1.0), InputScale::kSmall, GetParam(),
@@ -107,7 +113,8 @@ TEST_P(FailureSweep, FailureDuringReducePhaseRequeuesReducers) {
 TEST_P(FailureSweep, MultipleFailures) {
   auto cluster = cluster::presets::physical12();
   RunConfig config;
-  config.node_failures = {{5, 15.0}, {9, 40.0}};
+  crash(config, 5, 15.0);
+  crash(config, 9, 40.0);
   const auto result = workloads::run_job(
       cluster, bench_with(2048.0, 0.25), InputScale::kSmall, GetParam(),
       config);
@@ -121,7 +128,7 @@ TEST_P(FailureSweep, FailureCostsTimeButBoundedly) {
       GetParam(), RunConfig{});
   auto cluster = cluster::presets::homogeneous6();
   RunConfig config;
-  config.node_failures = {{2, 20.0}};
+  crash(config, 2, 20.0);
   const auto failed = workloads::run_job(
       cluster, bench_with(2048.0, 0.25), InputScale::kSmall, GetParam(),
       config);
@@ -157,7 +164,7 @@ TEST(Failures, SchedulingAfterRunStartThrows) {
   mr::JobDriver driver(sim, cluster, layout, spec, mr::SimParams{},
                        *scheduler);
   driver.run();
-  EXPECT_THROW(driver.schedule_node_failure(0, 1e9), InvariantError);
+  EXPECT_THROW(driver.install_faults(faults::FaultPlan{}), InvariantError);
 }
 
 TEST(Failures, DeadNodeSlotsWithdrawnFromRm) {

@@ -555,15 +555,22 @@ TEST(FaultValidation, RejectsBadDataPlaneKnobs) {
 }
 
 TEST(FaultValidation, RejectsStructurallyBrokenPlans) {
-  {
-    FaultPlan plan;
-    plan.crashes = {NodeCrash{99, 10.0, std::nullopt, true}};
-    EXPECT_THROW(plan.validate(6), ConfigError);  // node out of range
-  }
-  {
-    FaultPlan plan;
-    plan.crashes = {NodeCrash{1, -5.0, std::nullopt, true}};
-    EXPECT_THROW(plan.validate(6), ConfigError);  // negative crash time
+  for (const bool silent : {true, false}) {
+    {
+      FaultPlan plan;
+      plan.crashes = {NodeCrash{99, 10.0, std::nullopt, silent}};
+      EXPECT_THROW(plan.validate(6), ConfigError);  // node out of range
+    }
+    {
+      FaultPlan plan;
+      plan.crashes = {NodeCrash{6, 10.0, std::nullopt, silent}};
+      EXPECT_THROW(plan.validate(6), ConfigError);  // first id past the end
+    }
+    {
+      FaultPlan plan;
+      plan.crashes = {NodeCrash{1, -5.0, std::nullopt, silent}};
+      EXPECT_THROW(plan.validate(6), ConfigError);  // negative crash time
+    }
   }
   {
     FaultPlan plan;
@@ -611,29 +618,13 @@ TEST(FaultValidation, RejectsStructurallyBrokenPlans) {
   }
 }
 
-TEST(FaultValidation, LegacyScheduleNodeFailureValidatesItsArguments) {
-  auto cluster = cluster::presets::homogeneous6();
-  Simulator sim;
-  const auto layout = workloads::make_layout(
-      workloads::benchmark("WC"), InputScale::kSmall, cluster.num_nodes(),
-      64.0, 3, 1);
-  auto spec = workloads::to_job_spec(workloads::benchmark("WC"),
-                                     InputScale::kSmall);
-  const auto scheduler =
-      workloads::make_scheduler(SchedulerKind::kHadoopNoSpec);
-  mr::JobDriver driver(sim, cluster, layout, spec, mr::SimParams{},
-                       *scheduler);
-  EXPECT_THROW(driver.schedule_node_failure(cluster.num_nodes(), 10.0),
-               ConfigError);
-  EXPECT_THROW(driver.schedule_node_failure(0, -1.0), ConfigError);
-}
-
 TEST(FaultValidation, DuplicateLegacyNodeFailureRejectedAtStart) {
-  // Two permanent failures of the same node merge into the plan and are
-  // rejected by its overlapping-crash-interval check when the run starts.
+  // Two permanent oracle crashes of the same node are rejected by the
+  // plan's overlapping-crash-interval check when the run starts.
   auto cluster = cluster::presets::homogeneous6();
   RunConfig config;
-  config.node_failures = {{2, 10.0}, {2, 30.0}};
+  config.faults.crashes = {NodeCrash{2, 10.0, std::nullopt, false},
+                           NodeCrash{2, 30.0, std::nullopt, false}};
   EXPECT_THROW(workloads::run_job(cluster, bench_with(512.0, 0.25),
                                   InputScale::kSmall,
                                   SchedulerKind::kHadoop, config),

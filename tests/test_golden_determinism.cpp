@@ -4,7 +4,7 @@
 // slot table, heap compaction, SpeedMonitor extrema caching and the
 // heartbeat/offer-loop rewrites must not change a single byte of the
 // JobResult JSON for a fixed seed. The golden hashes (tests/
-// golden_cases.hpp, shared with the sharded-engine suite) were captured
+// golden_cases.hpp, shared with other suites) were captured
 // from the pre-optimization implementation (lazy-cancel unordered_map
 // queue, scan-based SpeedMonitor, O(all-tasks) heartbeat scans) on the
 // paper's 20-node virtual cluster — bursty interference there keeps

@@ -1,5 +1,5 @@
 // Self-profiler (src/obs/profiler.hpp): scope-tree semantics, activation
-// contract, lane telemetry, JSON shape — and the tenth pinned golden: the
+// contract, JSON shape — and the tenth pinned golden: the
 // simulation output is byte-identical with the profiler ACTIVE, because the
 // profiler only ever reads the host clock, never simulation state.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "obs/profiler.hpp"
-#include "obs/session.hpp"
 #include "tests/golden_cases.hpp"
 
 namespace flexmr {
@@ -89,26 +88,6 @@ TEST(Profiler, OffOwnerThreadScopesAreNoOps) {
   EXPECT_TRUE(active.profiler.scopes().empty());
 }
 
-TEST(Profiler, LaneTelemetryAndWindows) {
-  ActiveProfiler active;
-  Profiler& p = active.profiler;
-  p.ensure_lanes(3);
-  p.record_lane_drain(0, 400, 10);
-  p.record_lane_drain(1, 100, 2);
-  p.record_lane_drain(0, 200, 5);  // accumulates per lane
-  p.record_window(1000, 50);
-  p.record_window(2000, 70);
-
-  ASSERT_EQ(p.lanes().size(), 3u);
-  EXPECT_EQ(p.lanes()[0].busy_ns, 600u);
-  EXPECT_EQ(p.lanes()[0].drained, 15u);
-  EXPECT_EQ(p.lanes()[1].busy_ns, 100u);
-  EXPECT_EQ(p.lanes()[2].busy_ns, 0u);
-  EXPECT_EQ(p.windows(), 2u);
-  EXPECT_EQ(p.drain_wall_ns(), 3000u);
-  EXPECT_EQ(p.merge_ns(), 120u);
-}
-
 TEST(Profiler, JsonShape) {
   ActiveProfiler active;
   Profiler& p = active.profiler;
@@ -118,9 +97,6 @@ TEST(Profiler, JsonShape) {
       FLEXMR_PROF_SCOPE("rm/offer_all");
     }
   }
-  p.ensure_lanes(2);
-  p.record_lane_drain(0, 300, 7);
-  p.record_window(500, 20);
 
   const std::string doc = p.json();
   EXPECT_EQ(doc.rfind("{\"schema\":\"flexmr.profile.v1\"", 0), 0u);
@@ -132,10 +108,6 @@ TEST(Profiler, JsonShape) {
   // Roots serialize parent as -1; children reference an earlier id.
   EXPECT_NE(doc.find("\"parent\":-1"), std::string::npos);
   EXPECT_NE(doc.find("\"parent\":0"), std::string::npos);
-  EXPECT_NE(doc.find("\"lanes\":{"), std::string::npos);
-  EXPECT_NE(doc.find("\"windows\":1"), std::string::npos);
-  EXPECT_NE(doc.find("\"per_lane\":["), std::string::npos);
-  EXPECT_NE(doc.find("\"imbalance\":{"), std::string::npos);
 }
 
 std::uint64_t parse_events_fired(const std::string& result_json) {
@@ -146,10 +118,9 @@ std::uint64_t parse_events_fired(const std::string& result_json) {
 }
 
 // The tenth pinned golden: enabling the profiler changes no simulation
-// output. Every classic-engine hash and a sharded run must match the same
-// constants test_golden_determinism.cpp / test_sharded_golden.cpp pin with
-// the profiler off — and the profiler must have actually observed the run
-// (one sim/dispatch per fired event).
+// output. Every hash must match the constant test_golden_determinism.cpp
+// pins with the profiler off — and the profiler must have actually
+// observed the run (one sim/dispatch per fired event).
 TEST(ProfilerGolden, ClassicEngineByteIdenticalWithProfilerActive) {
   for (const auto& c : golden::kCases) {
     ActiveProfiler active;
@@ -160,29 +131,6 @@ TEST(ProfilerGolden, ClassicEngineByteIdenticalWithProfilerActive) {
     ASSERT_NE(dispatch, nullptr) << c.label;
     EXPECT_EQ(dispatch->count, parse_events_fired(json)) << c.label;
   }
-}
-
-TEST(ProfilerGolden, ShardedEngineByteIdenticalWithProfilerActive) {
-  const auto& c = golden::kCases[3];  // FlexMap, the richest decision path
-  ActiveProfiler active;
-  obs::TraceSession session;
-  const std::string json =
-      golden::run_case(c, {}, &session, /*lanes=*/4, /*lane_threads=*/2);
-  EXPECT_EQ(golden::fnv1a(json), c.expected)
-      << c.label << " (sharded) diverged with the profiler active";
-  // The lane-imbalance summary is mirrored into the trace as counters.
-  const std::string trace = session.trace_json();
-  EXPECT_NE(trace.find("lane_busy_host_ns/0"), std::string::npos);
-  EXPECT_NE(trace.find("lane_busy_host_ns/control"), std::string::npos);
-  EXPECT_NE(trace.find("lane_imbalance_max_over_mean"), std::string::npos);
-  // Lane telemetry rode along: 4 node lanes + the control lane.
-  EXPECT_EQ(active.profiler.lanes().size(), 5u);
-  EXPECT_GT(active.profiler.windows(), 0u);
-  std::uint64_t drained = 0;
-  for (const auto& lane : active.profiler.lanes()) drained += lane.drained;
-  EXPECT_GT(drained, 0u);
-  EXPECT_NE(active.profiler.find("sim/window_drain"), nullptr);
-  EXPECT_NE(active.profiler.find("sim/window_merge"), nullptr);
 }
 
 }  // namespace

@@ -231,8 +231,8 @@ TEST(Simulator, CountersTrackScheduleFireCancelAndPeak) {
   EXPECT_EQ(counters.queue_peak, 3u);
 }
 
-// Pins the full run_until(t) boundary contract (the sharded mirror lives
-// in test_sharded_golden.cpp): every event with time exactly t fires —
+// Pins the full run_until(t) boundary contract: every event with time
+// exactly t fires —
 // including one scheduled *at t, during the call* by another boundary
 // event — in schedule (seq) order, events past t stay queued, and the
 // clock lands exactly on t even though the last fired event was at t.
@@ -254,8 +254,8 @@ TEST(Simulator, RunUntilBoundaryFiresAtTInSeqOrderIncludingNewlyScheduled) {
 }
 
 // run_until past an empty queue, or with only cancelled residue in front,
-// still advances the clock to exactly t (the classic engine pops dead
-// entries even beyond t; the sharded engine mirrors this).
+// still advances the clock to exactly t (dead entries are popped even
+// beyond t).
 TEST(Simulator, RunUntilAdvancesClockThroughCancelledResidue) {
   Simulator sim;
   const EventId dead = sim.schedule_at(5.0, []() {});
@@ -264,6 +264,48 @@ TEST(Simulator, RunUntilAdvancesClockThroughCancelledResidue) {
   EXPECT_EQ(sim.now(), 3.0);
   sim.run_until(7.0);
   EXPECT_EQ(sim.now(), 7.0);
+  EXPECT_EQ(sim.live_events(), 0u);
+}
+
+// run_until partway through the queue leaves the later events pending;
+// step() then resumes them in order from the clock run_until left.
+TEST(Simulator, RunUntilThenStepResumes) {
+  Simulator sim;
+  std::vector<double> times;
+  for (int i = 0; i < 8; ++i) {
+    const double t = 1.0 + i;
+    sim.schedule_at(t, [&times, t]() { times.push_back(t); });
+  }
+  sim.run_until(3.5);
+  EXPECT_EQ(sim.now(), 3.5);
+  EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(sim.live_events(), 5u);
+  while (sim.step()) {
+  }
+  EXPECT_EQ(times,
+            (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0}));
+  EXPECT_EQ(sim.now(), 8.0);
+}
+
+// A handler cancelling an event already queued behind it: the victim is
+// skipped lazily when popped, and each counter sees it exactly once.
+TEST(Simulator, HandlerCancelsLaterQueuedEvent) {
+  Simulator sim;
+  std::vector<int> fired;
+  EventId victim = kInvalidEvent;
+  sim.schedule_at(1.0, [&]() {
+    fired.push_back(1);
+    EXPECT_TRUE(sim.cancel(victim));
+  });
+  victim = sim.schedule_at(2.0, [&]() { fired.push_back(2); });
+  sim.schedule_at(3.0, [&]() { fired.push_back(3); });
+  sim.run(100);
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  const auto counters = sim.counters();
+  EXPECT_EQ(counters.scheduled, 3u);
+  EXPECT_EQ(counters.fired, 2u);
+  EXPECT_EQ(counters.cancelled, 1u);
+  EXPECT_EQ(counters.queue_peak, 3u);
   EXPECT_EQ(sim.live_events(), 0u);
 }
 

@@ -1,9 +1,8 @@
 // flexmr-profile: read flexmr.profile.v1 self-profiles (DESIGN.md §15).
 //
 //   flexmr-profile report PROFILE_scale.json [--top N]
-//       Top-N scopes by self (exclusive) time, with counts, per-call cost
-//       and the lane table, so "where do the host cycles go?" has a
-//       one-command answer.
+//       Top-N scopes by self (exclusive) time, with counts and per-call
+//       cost, so "where do the host cycles go?" has a one-command answer.
 //
 //   flexmr-profile diff OLD.json NEW.json [--threshold F] [--min-share F]
 //                  [--min-pts P]
@@ -270,7 +269,6 @@ struct Profile {
   double wall_ns = 0;
   double total_exclusive_ns = 0;
   std::vector<ScopeRow> scopes;  ///< In document (creation) order.
-  const JsonValue* lanes = nullptr;
 };
 
 Profile load_profile(const JsonValue& doc) {
@@ -302,7 +300,6 @@ Profile load_profile(const JsonValue& doc) {
     p.total_exclusive_ns += row.exclusive_ns;
     p.scopes.push_back(std::move(row));
   }
-  p.lanes = doc.get("lanes");
   return p;
 }
 
@@ -351,31 +348,6 @@ int report(const char* path, std::size_t top_n) {
                 row.path.c_str());
   }
 
-  if (p.lanes != nullptr) {
-    const JsonValue* per_lane = p.lanes->get("per_lane");
-    const double windows =
-        p.lanes->get("windows") ? p.lanes->get("windows")->num_or(0) : 0;
-    if (windows > 0 && per_lane != nullptr && !per_lane->items.empty()) {
-      const JsonValue* imbalance = p.lanes->get("imbalance");
-      std::printf("\nlanes: %zu (control last), %.0f windows, drain wall "
-                  "%.3fs, merge %.3fs, busy max/mean %.2f\n",
-                  per_lane->items.size(), windows,
-                  seconds(p.lanes->get("drain_wall_ns")->num_or(0)),
-                  seconds(p.lanes->get("merge_ns")->num_or(0)),
-                  imbalance != nullptr
-                      ? imbalance->get("max_over_mean")->num_or(0)
-                      : 0.0);
-      std::printf("%-8s %-12s %-12s %s\n", "lane", "busy(s)", "idle(s)",
-                  "drained");
-      for (const JsonValue& lane : per_lane->items) {
-        std::printf("%-8.0f %-12.4f %-12.4f %.0f\n",
-                    lane.get("lane")->num_or(-1),
-                    seconds(lane.get("busy_ns")->num_or(0)),
-                    seconds(lane.get("idle_ns")->num_or(0)),
-                    lane.get("drained")->num_or(0));
-      }
-    }
-  }
   return 0;
 }
 

@@ -12,9 +12,6 @@ construction:
   * total_exclusive_ns equals the sum over scopes
   * a scope's inclusive time is >= the sum of its children's inclusive
     time (self time is never negative at any node)
-  * the lanes block (when windows > 0) has a per_lane table with
-    busy_ns/idle_ns/drained and a max/mean imbalance summary consistent
-    with the per-lane busy column
 
 Usage: validate_profile.py PROFILE.json [PROFILE2.json ...]
 """
@@ -73,29 +70,8 @@ def validate(path):
         fail(path, f"total_exclusive_ns {doc['total_exclusive_ns']} != "
              f"scope sum {total_exclusive}")
 
-    lanes = doc.get("lanes")
-    n_lanes = 0
-    if isinstance(lanes, dict) and lanes.get("windows", 0) > 0:
-        per_lane = lanes.get("per_lane")
-        if not isinstance(per_lane, list) or not per_lane:
-            fail(path, "lanes.windows > 0 but per_lane missing/empty")
-        busy = []
-        for row in per_lane:
-            for key in ("lane", "busy_ns", "idle_ns", "drained"):
-                if key not in row:
-                    fail(path, f"per_lane row missing {key}: {row}")
-            busy.append(row["busy_ns"])
-        imbalance = lanes.get("imbalance")
-        if not isinstance(imbalance, dict):
-            fail(path, "lanes.imbalance missing")
-        if imbalance.get("max_busy_ns") != max(busy):
-            fail(path, f"imbalance.max_busy_ns {imbalance.get('max_busy_ns')}"
-                 f" != max(per_lane busy) {max(busy)}")
-        n_lanes = len(per_lane)
-
     print(f"{path}: OK ({len(scopes)} scopes, {total_exclusive} ns self "
-          f"time, {n_lanes} lanes, {lanes.get('windows', 0) if lanes else 0}"
-          f" windows)")
+          f"time)")
 
 
 if __name__ == "__main__":
