@@ -188,9 +188,7 @@ void JobDriver::start() {
   // events and exhausted probability draws included).
   if (injector_ && am_attempt_ == 1) injector_->arm(*sim_, *cluster_);
 
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_later();
   sim_->schedule_after(params_.heartbeat_period_s, [this]() { heartbeat(); });
 }
 
@@ -320,14 +318,7 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
                                 sigma * rng_.normal());
   }
 
-  if (injector_) {
-    if (injector_->draw_launch_failure(node)) {
-      task->planned_fault = PlannedFault::kLaunchFail;
-    } else if (injector_->draw_attempt_failure(node)) {
-      task->planned_fault = PlannedFault::kAttemptFail;
-      task->fail_frac = injector_->draw_failure_fraction();
-    }
-  }
+  draw_planned_fault(node, task->planned_fault, task->fail_frac);
 
   const TaskId id = task->id;
   SimDuration decode_s = 0;
@@ -338,7 +329,7 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
     decode_s = degraded / layout_->storage.decode_mibps;
     ++result_.degraded_reads;
     result_.decode_mib += degraded;
-    if (ctr_degraded_reads_) ctr_degraded_reads_->inc();
+    if (ctr_.degraded_reads) ctr_.degraded_reads->inc();
     if (tracer_ != nullptr) {
       tracer_->instant({obs::node_pid(node), 0}, "degraded-read", "fault",
                        sim_->now(),
@@ -368,6 +359,19 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
                                 // ascending without a sort
   if (tracer_ != nullptr) trace_map_begin(*map_tasks_[id]);
   scheduler_->on_map_dispatch(*this, id, node);
+}
+
+void JobDriver::draw_planned_fault(NodeId node, PlannedFault& fault,
+                                   double& fail_frac) {
+  fault = PlannedFault::kNone;
+  fail_frac = 0;
+  if (!injector_) return;
+  if (injector_->draw_launch_failure(node)) {
+    fault = PlannedFault::kLaunchFail;
+  } else if (injector_->draw_attempt_failure(node)) {
+    fault = PlannedFault::kAttemptFail;
+    fail_frac = injector_->draw_failure_fraction();
+  }
 }
 
 double JobDriver::map_rate(const MapTask& task) const {
@@ -446,10 +450,7 @@ void JobDriver::map_complete(TaskId id) {
   const TaskId twin_id = task.twin;
 
   // The winner credits the BUs; a twin (original or copy) is killed now.
-  task.credited = true;
-  processed_bus_ += task.bus.size();
-  for (const BlockUnitId bu : task.bus) bu_done_[bu] = 1;
-  intermediate_on_node_[node] += task.size * job_.shuffle_ratio;
+  credit_map(task);
   // Commit point: the credited BU set is durable from here — an AM crash
   // after this append replays the map instead of re-running it.
   if (journal_ != nullptr) {
@@ -462,7 +463,7 @@ void JobDriver::map_complete(TaskId id) {
     tracer_->task_end(ttok(id), sim_->now(),
                       {{"status", "completed"},
                        {"productivity", completed_rec.productivity()}});
-    ctr_maps_completed_->inc();
+    ctr_.maps_completed->inc();
     auto& metrics = trace_->metrics();
     metrics.histogram("map.total_runtime_s")
         .record(completed_rec.total_runtime());
@@ -487,7 +488,11 @@ void JobDriver::map_complete(TaskId id) {
     MapTask& twin = *map_tasks_[twin_id];
     map_tasks_[id]->twin = kInvalidTask;
     twin.twin = kInvalidTask;
-    if (twin.phase != TaskPhase::kDone) kill_map(twin_id, TaskStatus::kKilled);
+    if (twin.phase != TaskPhase::kDone) {
+      kill_map(twin, TaskStatus::kKilled, "twin finished first",
+               ctr_.speculative_kills);
+      rm_.release(twin.node);
+    }
   }
 
   scheduler_->on_map_complete(*this, completed_rec);
@@ -498,8 +503,7 @@ void JobDriver::map_complete(TaskId id) {
   rm_.release(node);
 }
 
-void JobDriver::kill_map(TaskId id, TaskStatus final_status) {
-  MapTask& task = *map_tasks_[id];
+MiB JobDriver::end_map_attempt(MapTask& task) {
   FLEXMR_ASSERT(task.phase != TaskPhase::kDone);
   if (task.pending_event != kInvalidEvent) {
     sim_->cancel(task.pending_event);
@@ -507,16 +511,45 @@ void JobDriver::kill_map(TaskId id, TaskStatus final_status) {
   }
   task.phase = TaskPhase::kDone;
   --running_map_count_;
-  const NodeId node = task.node;
-  const MiB consumed =
-      task.integrator ? task.integrator->done(sim_->now()) : 0.0;
-  record_map(task, final_status, consumed, 0);
-  if (tracer_ != nullptr) {
-    trace_task_closed(id, to_string(final_status), "twin finished first",
-                      consumed);
-    ctr_speculative_kills_->inc();
+  return task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+}
+
+MiB JobDriver::kill_map(MapTask& task, TaskStatus status, const char* reason,
+                        obs::MetricsRegistry::Counter* counter) {
+  const MiB consumed = end_map_attempt(task);
+  record_map(task, status, consumed, 0);
+  trace_task_closed(task.id, to_string(status), reason, consumed);
+  if (counter != nullptr) counter->inc();
+  return consumed;
+}
+
+void JobDriver::hand_on_bus(MapTask& task, NodeId lost_node,
+                            std::vector<BlockUnitId>& reclaimed) {
+  if (task.twin != kInvalidTask) {
+    MapTask& twin = *map_tasks_[task.twin];
+    twin.twin = kInvalidTask;
+    task.twin = kInvalidTask;
+    const bool twin_survives =
+        twin.node != lost_node || twin.phase == TaskPhase::kDone;
+    if (twin_survives && task.owns_bus) {
+      twin.owns_bus = true;
+      task.owns_bus = false;
+    }
   }
-  rm_.release(node);  // `task` may dangle past this point
+  // A non-owner's list duplicates the owner's and must not be put back.
+  if (task.owns_bus) {
+    index_.put_back(task.bus);
+    reclaimed.insert(reclaimed.end(), task.bus.begin(), task.bus.end());
+    task.size = 0;
+  }
+  task.bus.clear();
+}
+
+void JobDriver::credit_map(MapTask& task) {
+  task.credited = !task.bus.empty();
+  processed_bus_ += task.bus.size();
+  for (const BlockUnitId bu : task.bus) bu_done_[bu] = 1;
+  intermediate_on_node_[task.node] += task.size * job_.shuffle_ratio;
 }
 
 std::vector<BlockUnitId> JobDriver::kill_and_reclaim(TaskId id) {
@@ -559,18 +592,10 @@ std::vector<BlockUnitId> JobDriver::reclaim_map(TaskId id,
   FLEXMR_ASSERT_MSG(task.twin == kInvalidTask && !task.speculative,
                     "kill_and_reclaim on a speculated task");
 
-  if (task.pending_event != kInvalidEvent) {
-    sim_->cancel(task.pending_event);
-    task.pending_event = kInvalidEvent;
-  }
-  task.phase = TaskPhase::kDone;
-  --running_map_count_;
-
   // Split the BU list at the consumed prefix: complete BUs stay credited
   // to this task; the partially-read BU (if any) and the unread suffix go
   // back to the pool.
-  const MiB consumed =
-      task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+  const MiB consumed = end_map_attempt(task);
   MiB acc = 0;
   std::size_t kept = 0;
   while (kept < task.bus.size()) {
@@ -584,22 +609,18 @@ std::vector<BlockUnitId> JobDriver::reclaim_map(TaskId id,
                                      task.bus.end());
   task.bus.resize(kept);
   task.size = acc;
-  task.credited = kept > 0;
   const NodeId node = task.node;
-
-  processed_bus_ += kept;
-  for (const BlockUnitId bu : task.bus) bu_done_[bu] = 1;
-  intermediate_on_node_[node] += acc * job_.shuffle_ratio;
+  credit_map(task);
   // Partial-credit commit point: the kept prefix is durable (the journal
   // stores the exact BU set, so replay re-credits precisely these units).
   if (journal_ != nullptr && kept > 0) {
     journal_->record_map_commit(id, node, task.bus, acc);
   }
-  record_map(task, kept > 0 ? TaskStatus::kPartialCompleted
-                            : TaskStatus::kKilled,
-             acc, static_cast<std::uint32_t>(kept));
+  const TaskStatus status =
+      kept > 0 ? TaskStatus::kPartialCompleted : TaskStatus::kKilled;
+  record_map(task, status, acc, static_cast<std::uint32_t>(kept));
   const TaskRecord partial_rec = result_.tasks.back();
-  trace_task_closed(id, kept > 0 ? "partial" : "killed", reason, acc);
+  trace_task_closed(id, to_string(status), reason, acc);
   if (kept > 0) scheduler_->on_map_complete(*this, partial_rec);
 
   index_.put_back(remaining);
@@ -737,16 +758,7 @@ bool JobDriver::dispatch_reduce(NodeId node) {
     task.exec_noise = std::exp(-sigma * sigma / 2.0 + sigma * rng_.normal());
   }
   task.dispatch_time = sim_->now();
-  task.planned_fault = PlannedFault::kNone;
-  task.fail_frac = 0;
-  if (injector_) {
-    if (injector_->draw_launch_failure(node)) {
-      task.planned_fault = PlannedFault::kLaunchFail;
-    } else if (injector_->draw_attempt_failure(node)) {
-      task.planned_fault = PlannedFault::kAttemptFail;
-      task.fail_frac = injector_->draw_failure_fraction();
-    }
-  }
+  draw_planned_fault(node, task.planned_fault, task.fail_frac);
   ++running_reduce_count_;
   const SimDuration startup =
       params_.container_alloc_s + params_.jvm_startup_s;
@@ -769,7 +781,7 @@ bool JobDriver::dispatch_reduce(NodeId node) {
                          {"share", task.share},
                          {"requeued", from_requeue}});
     tracer_->task_child_begin(ttok(task.id), "startup", task.dispatch_time);
-    ctr_reduces_dispatched_->inc();
+    ctr_.reduces_dispatched->inc();
   }
   return true;
 }
@@ -836,7 +848,7 @@ void JobDriver::handle_fetch_failure(std::size_t idx) {
                           {{"source", source},
                            {"attempt", task.fetch_attempt},
                            {"backoff_s", backoff}});
-    ctr_fetch_failures_->inc();
+    ctr_.fetch_failures->inc();
   }
   record_fault(faults::FaultEventType::kFetchFailure, source, task.id,
                task.fetch_attempt);
@@ -898,40 +910,17 @@ void JobDriver::report_fetch_failure(NodeId host) {
   record_fault(faults::FaultEventType::kMapOutputLost, host, victim->id,
                reports);
   map_fetch_reports_[victim->id] = 0;
-  std::uint32_t worst_attempts = 0;
-  BlockUnitId worst_bu = 0;
-  for (const BlockUnitId bu : victim->bus) {
-    const std::uint32_t attempts = ++bu_attempt_failures_[bu];
-    if (journal_ != nullptr) journal_->record_bu_attempt_failure(bu);
-    if (attempts > worst_attempts) {
-      worst_attempts = attempts;
-      worst_bu = bu;
-    }
-  }
+  const WorstUnit worst = charge_bu_failures(victim->bus);
   reopen_map_phase_for_lost_outputs();
   std::vector<BlockUnitId> reclaimed;
   lose_map_output(*victim, reclaimed);
   note_node_attempt_failure(host);
-  if (worst_attempts >= plan_.max_attempts) {
-    abort_job("map input unit " + std::to_string(worst_bu) + " failed " +
-              std::to_string(worst_attempts) + " attempts");
-  }
-  if (!done_) {
-    // The reclaimed BUs are unread again; if their blocks lost every
-    // replica since the map ran, the input is gone.
-    std::vector<std::uint32_t> suspects;
-    for (const BlockUnitId bu : reclaimed) {
-      suspects.push_back(layout_->bus[bu].block);
-    }
-    std::sort(suspects.begin(), suspects.end());
-    suspects.erase(std::unique(suspects.begin(), suspects.end()),
-                   suspects.end());
-    check_data_loss(suspects);
-  }
+  abort_if_exhausted(worst);
+  // The reclaimed BUs are unread again; if their blocks lost every
+  // replica since the map ran, the input is gone.
+  check_data_loss({}, reclaimed);
   if (!done_) scheduler_->on_attempt_failed(*this, host, reclaimed);
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_later();
 }
 
 double JobDriver::reduce_rate(const ReduceTask& task) const {
@@ -971,17 +960,7 @@ void JobDriver::reduce_complete(std::size_t idx) {
   task.pending_event = kInvalidEvent;
   --running_reduce_count_;
 
-  TaskRecord rec;
-  rec.id = task.id;
-  rec.node = task.node;
-  rec.kind = TaskKind::kReduce;
-  rec.status = TaskStatus::kCompleted;
-  rec.dispatch_time = task.dispatch_time;
-  rec.compute_start = task.compute_start;
-  rec.end_time = sim_->now();
-  rec.input_mib = task.input;
-  rec.phase_progress_at_end = 1.0;
-  result_.tasks.push_back(rec);
+  record_reduce(task, TaskStatus::kCompleted, task.input, 1.0);
   // Commit point: the reducer's output is durable (HDFS-committed).
   if (journal_ != nullptr) {
     journal_->record_reduce_commit(static_cast<std::uint32_t>(idx),
@@ -989,8 +968,9 @@ void JobDriver::reduce_complete(std::size_t idx) {
   }
 
   if (tracer_ != nullptr) {
+    const TaskRecord& rec = result_.tasks.back();
     tracer_->task_end(ttok(rec.id), sim_->now(), {{"status", "completed"}});
-    ctr_reduces_completed_->inc();
+    ctr_.reduces_completed->inc();
     auto& metrics = trace_->metrics();
     metrics.histogram("reduce.total_runtime_s").record(rec.total_runtime());
     metrics.histogram("reduce.input_mib").record(rec.input_mib);
@@ -1002,6 +982,43 @@ void JobDriver::reduce_complete(std::size_t idx) {
     return;
   }
   rm_.release(task.node);
+}
+
+void JobDriver::record_reduce(const ReduceTask& task, TaskStatus status,
+                              MiB input, double phase_progress) {
+  TaskRecord rec;
+  rec.id = task.id;
+  rec.node = task.node;
+  rec.kind = TaskKind::kReduce;
+  rec.status = status;
+  rec.dispatch_time = task.dispatch_time;
+  rec.compute_start = task.compute_start;
+  rec.end_time = sim_->now();
+  rec.input_mib = input;
+  rec.phase_progress_at_end = phase_progress;
+  result_.tasks.push_back(rec);
+}
+
+void JobDriver::requeue_reducer(std::size_t idx, const char* reason) {
+  ReduceTask& task = *reduce_tasks_[idx];
+  if (task.pending_event != kInvalidEvent) {
+    sim_->cancel(task.pending_event);
+    task.pending_event = kInvalidEvent;
+  }
+  if (tracer_ != nullptr && tracer_->task_open(ttok(task.id))) {
+    tracer_->task_end(ttok(task.id), sim_->now(),
+                      {{"status", "requeued"}, {"reason", reason}});
+  }
+  task.node = kInvalidNode;
+  task.phase = TaskPhase::kStarting;
+  task.integrator.reset();
+  // A redispatched attempt that dies before its fetch starts must not
+  // report the previous attempt's compute start.
+  task.compute_start = 0;
+  task.planned_fault = PlannedFault::kNone;
+  task.fail_frac = 0;
+  --running_reduce_count_;
+  reduce_requeue_.push_back(idx);
 }
 
 void JobDriver::finish_job() {
@@ -1104,7 +1121,7 @@ void JobDriver::heartbeat() {
   }
 
   if (tracer_ != nullptr) {
-    ctr_heartbeats_->inc();
+    ctr_.heartbeats->inc();
     tracer_->counter(trace_ns_.job_pid, "running_maps", sim_->now(),
                      static_cast<double>(running_map_count_));
     tracer_->counter(trace_ns_.job_pid, "running_reduces", sim_->now(),
@@ -1168,27 +1185,14 @@ void JobDriver::crash_am() {
   for (const TaskId id : live_map_ids_) {
     MapTask& task = *map_tasks_[id];
     if (task.phase == TaskPhase::kDone) continue;
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    task.phase = TaskPhase::kDone;
-    --running_map_count_;
-    const MiB consumed =
-        task.integrator ? task.integrator->done(sim_->now()) : 0.0;
-    attempt.wasted_mib += consumed;
+    attempt.wasted_mib +=
+        kill_map(task, TaskStatus::kKilled, "am crashed", ctr_.maps_killed);
     // Exactly one of an original/copy pair owns the BU list; counting the
     // owner only keeps wasted_units a partition of the job's BUs.
     if (task.owns_bus) {
       attempt.wasted_units += static_cast<std::uint64_t>(task.bus.size());
     }
-    record_map(task, TaskStatus::kKilled, consumed, 0);
-    if (tracer_ != nullptr) {
-      trace_task_closed(id, "killed", "am crashed", consumed);
-      ctr_maps_killed_->inc();
-    }
-    const NodeId host = task.node;
-    if (!rm_.is_dead(host)) rm_.release(host);
+    if (!rm_.is_dead(task.node)) rm_.release(task.node);
   }
 
   // And every dispatched uncommitted reducer (committed ones are durable
@@ -1203,62 +1207,38 @@ void JobDriver::crash_am() {
     const MiB consumed =
         task.integrator ? task.integrator->done(sim_->now()) : 0.0;
     attempt.wasted_mib += consumed;
-    TaskRecord rec;
-    rec.id = task.id;
-    rec.node = task.node;
-    rec.kind = TaskKind::kReduce;
-    rec.status = TaskStatus::kKilled;
-    rec.dispatch_time = task.dispatch_time;
-    rec.compute_start = task.compute_start;
-    rec.end_time = sim_->now();
-    rec.input_mib = consumed;
-    rec.phase_progress_at_end = map_phase_progress();
-    result_.tasks.push_back(rec);
-    if (tracer_ != nullptr && tracer_->task_open(ttok(task.id))) {
-      tracer_->task_end(ttok(task.id), sim_->now(),
-                        {{"status", "killed"},
-                         {"reason", "am crashed"},
-                         {"consumed_mib", consumed}});
-    }
-    const NodeId host = task.node;
+    record_reduce(task, TaskStatus::kKilled, consumed, map_phase_progress());
+    trace_task_closed(task.id, "killed", "am crashed", consumed);
     task.phase = TaskPhase::kDone;
     --running_reduce_count_;
-    if (!rm_.is_dead(host)) rm_.release(host);
+    if (!rm_.is_dead(task.node)) rm_.release(task.node);
   }
 
   result_.redone_work_mib += attempt.wasted_mib;
   result_.redone_work_units += attempt.wasted_units;
-  if (ctr_redone_units_ != nullptr) {
-    ctr_redone_units_->inc(attempt.wasted_units);
+  if (ctr_.redone_units != nullptr) {
+    ctr_.redone_units->inc(attempt.wasted_units);
   }
   result_.am_attempts.push_back(attempt);
   // No finish_time: this attempt did not finish the job — it died.
   trace_finish();
 }
 
-AmRecoveryBaton JobDriver::release_recovery() {
-  FLEXMR_ASSERT_MSG(am_crashed_, "release_recovery before crash_am()");
-  AmRecoveryBaton baton;
-  baton.plan = plan_;
-  baton.injector = std::move(injector_);
-  baton.replica_mgr = std::move(replica_mgr_);
-  baton.journal = journal_;
-  baton.next_attempt = am_attempt_ + 1;
-  baton.recovered = journal_->replay();
-  return baton;
-}
-
-void JobDriver::adopt_recovery(AmRecoveryBaton baton) {
-  FLEXMR_ASSERT_MSG(!started_, "adopt_recovery before start()");
-  FLEXMR_ASSERT_MSG(owned_rm_ == nullptr,
-                    "a recovered attempt allocates from the surviving RM "
-                    "(use the shared-RM constructor)");
-  plan_ = std::move(baton.plan);
-  injector_ = std::move(baton.injector);
-  replica_mgr_ = std::move(baton.replica_mgr);
-  journal_ = baton.journal;
-  am_attempt_ = baton.next_attempt;
-  recovered_.emplace(std::move(baton.recovered));
+std::unique_ptr<JobDriver> JobDriver::successor(yarn::ResourceManager& rm) {
+  FLEXMR_ASSERT_MSG(am_crashed_, "successor before crash_am()");
+  auto next = std::make_unique<JobDriver>(*sim_, *cluster_, *layout_, job_,
+                                          params_, *scheduler_, rm);
+  next->plan_ = plan_;
+  next->injector_ = std::move(injector_);
+  next->replica_mgr_ = std::move(replica_mgr_);
+  next->journal_ = journal_;
+  next->am_attempt_ = am_attempt_ + 1;
+  next->recovered_.emplace(journal_->replay());
+  AmAttemptRecord& record = result_.am_attempts.back();
+  record.restart_time = sim_->now();
+  record.replayed_units =
+      static_cast<std::uint64_t>(next->recovered_->replayed_units());
+  return next;
 }
 
 void JobDriver::restore_from_journal() {
@@ -1312,12 +1292,9 @@ void JobDriver::restore_from_journal() {
     task->node = m.node;
     task->bus = m.bus;
     task->size = m.size;
-    task->credited = true;
     task->phase = TaskPhase::kDone;
     map_fetch_reports_[task->id] = m.fetch_reports;
-    processed_bus_ += m.bus.size();
-    for (const BlockUnitId bu : m.bus) bu_done_[bu] = 1;
-    intermediate_on_node_[m.node] += m.size * job_.shuffle_ratio;
+    credit_map(*task);
     map_tasks_.push_back(std::move(task));
   }
 
@@ -1373,7 +1350,7 @@ void JobDriver::record_fault(faults::FaultEventType type, NodeId node,
     if (block != faults::kInvalidBlock) args.emplace_back("block", block);
     tracer_->instant({obs::kFaultsPid, 0}, faults::to_string(type), "fault",
                      sim_->now(), std::move(args));
-    ctr_fault_events_->inc();
+    ctr_.fault_events->inc();
   }
 }
 
@@ -1436,56 +1413,36 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
   for (auto& owned : map_tasks_) {
     MapTask& task = *owned;
     if (task.node != node || task.phase == TaskPhase::kDone) continue;
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    task.phase = TaskPhase::kDone;
-    --running_map_count_;
-    const MiB consumed =
-        task.integrator ? task.integrator->done(sim_->now()) : 0.0;
-    record_map(task, TaskStatus::kKilled, consumed, 0);
-    if (tracer_ != nullptr) {
-      trace_task_closed(task.id, "killed", "node lost", consumed);
-      ctr_maps_killed_->inc();
-    }
-    if (task.twin != kInvalidTask) {
-      MapTask& twin = *map_tasks_[task.twin];
-      const bool twin_survives =
-          !(twin.node == node && twin.phase != TaskPhase::kDone);
-      twin.twin = kInvalidTask;
-      task.twin = kInvalidTask;
-      if (twin_survives) {
-        // The twin covers this work now — and inherits the duty of
-        // returning the BUs should it die too.
-        if (task.owns_bus) {
-          twin.owns_bus = true;
-          task.owns_bus = false;
-        }
-        task.bus.clear();
-      } else if (task.owns_bus) {
-        // Both copies die on this node; the owner returns the BUs (the
-        // other list is a duplicate and must not be put back too).
-        index_.put_back(task.bus);
-        reclaimed.insert(reclaimed.end(), task.bus.begin(), task.bus.end());
-        task.bus.clear();
-        task.size = 0;
-      } else {
-        task.bus.clear();
-      }
-    } else if (task.owns_bus) {
-      index_.put_back(task.bus);
-      reclaimed.insert(reclaimed.end(), task.bus.begin(), task.bus.end());
-      task.bus.clear();
-      task.size = 0;
-    } else {
-      task.bus.clear();  // non-owning copy: duplicate of the owner's list
-    }
+    kill_map(task, TaskStatus::kKilled, "node lost", ctr_.maps_killed);
+    hand_on_bus(task, node, reclaimed);
   }
 
-  // 2. Lost map outputs: if the shuffle still needs them (reduce phase
-  //    not yet planned), every credited map on the node re-executes.
-  if (!job_.map_only() && !map_phase_done_) {
+  // 2. Re-queue the node's dispatched reducers, whichever phase the job
+  //    is in: a map phase re-opened by an earlier loss leaves computing
+  //    reducers dispatched.
+  for (std::size_t idx = 0; idx < reduce_tasks_.size(); ++idx) {
+    const ReduceTask& task = *reduce_tasks_[idx];
+    if (task.node != node || task.phase == TaskPhase::kDone) continue;
+    requeue_reducer(idx, "node lost");
+  }
+
+  // 3. Lost map outputs: every credited map on the node re-executes while
+  //    the shuffle still needs them — before the reduce phase is planned,
+  //    or while some reducer has not finished fetching. The latter
+  //    re-opens the map phase for exactly those inputs, stalling every
+  //    pre-compute reducer; reducers that already hold all their data
+  //    keep computing.
+  const auto outputs_needed = [this]() {
+    return std::any_of(reduce_tasks_.begin(), reduce_tasks_.end(),
+                       [](const auto& owned) {
+                         return owned->phase == TaskPhase::kStarting ||
+                                owned->phase == TaskPhase::kFetching;
+                       });
+  };
+  if (!job_.map_only() &&
+      (!map_phase_done_ ||
+       (intermediate_on_node_[node] > 0 && outputs_needed()))) {
+    if (map_phase_done_) reopen_map_phase_for_lost_outputs();
     for (auto& owned : map_tasks_) {
       MapTask& task = *owned;
       if (task.node != node || !task.credited || task.output_lost) continue;
@@ -1494,81 +1451,17 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
     intermediate_on_node_[node] = 0.0;
   }
 
-  // 3. Reduce phase: re-queue the node's running reducers, then handle
-  //    map-output loss after the shuffle has started — reducers that have
-  //    not finished fetching still need the dead node's intermediate
-  //    data, so the map phase re-opens for exactly those inputs while
-  //    reducers that already hold all their data keep computing.
-  if (map_phase_done_) {
-    for (std::size_t idx = 0; idx < reduce_tasks_.size(); ++idx) {
-      ReduceTask& task = *reduce_tasks_[idx];
-      if (task.node != node || task.phase == TaskPhase::kDone) continue;
-      if (task.node == kInvalidNode) continue;  // not yet dispatched
-      if (task.pending_event != kInvalidEvent) {
-        sim_->cancel(task.pending_event);
-        task.pending_event = kInvalidEvent;
-      }
-      if (tracer_ != nullptr && tracer_->task_open(ttok(task.id))) {
-        tracer_->task_end(ttok(task.id), sim_->now(),
-                          {{"status", "requeued"}, {"reason", "node lost"}});
-      }
-      task.node = kInvalidNode;
-      task.phase = TaskPhase::kStarting;
-      task.integrator.reset();
-      --running_reduce_count_;
-      reduce_requeue_.push_back(idx);
-    }
-
-    if (!job_.map_only() && intermediate_on_node_[node] > 0) {
-      bool outputs_needed = false;
-      for (const auto& owned : reduce_tasks_) {
-        const TaskPhase phase = owned->phase;
-        if (phase == TaskPhase::kStarting || phase == TaskPhase::kFetching) {
-          outputs_needed = true;
-          break;
-        }
-      }
-      if (outputs_needed) {
-        // Re-open the map phase for the dead node's credited maps (same
-        // recovery as the pre-shuffle case), stalling every pre-compute
-        // reducer: their fetches cannot finish without the lost outputs.
-        reopen_map_phase_for_lost_outputs();
-        for (auto& owned : map_tasks_) {
-          MapTask& task = *owned;
-          if (task.node != node || !task.credited || task.output_lost) {
-            continue;
-          }
-          lose_map_output(task, reclaimed);
-        }
-        intermediate_on_node_[node] = 0.0;
-      }
-    }
-  }
-
   scheduler_->on_node_failed(*this, node, reclaimed);
-  if (!done_) {
-    // Data-loss sweep: blocks that just dropped to zero live replicas,
-    // plus blocks whose BUs became unread again through the reclaims
-    // above (their replicas may have been lost in *earlier* failures).
-    std::vector<std::uint32_t> suspects = replica_report.zero;
-    for (const BlockUnitId bu : reclaimed) {
-      suspects.push_back(layout_->bus[bu].block);
-    }
-    std::sort(suspects.begin(), suspects.end());
-    suspects.erase(std::unique(suspects.begin(), suspects.end()),
-                   suspects.end());
-    check_data_loss(suspects);
-  }
+  // Data-loss sweep: blocks that just dropped below read quorum, plus
+  // blocks whose BUs became unread again through the reclaims above
+  // (their replicas may have been lost in *earlier* failures).
+  check_data_loss(std::move(replica_report.zero), reclaimed);
   if (!done_ && rm_.total_slots() == 0 &&
       (!injector_ || !injector_->rejoin_pending())) {
     abort_job("every node in the cluster failed");
     return;
   }
-  if (schedule_reoffer) {
-    sim_->schedule_after(0.0, [this]() {
-      if (!done_) rm_.offer_all();
-    });
-  }
+  if (schedule_reoffer) reoffer_later();
 }
 
 void JobDriver::lose_map_output(MapTask& task,
@@ -1612,37 +1505,30 @@ void JobDriver::reopen_map_phase_for_lost_outputs() {
   trace_end_phase();
   trace_begin_phase("map phase (reopened)");
   for (std::size_t idx = 0; idx < reduce_tasks_.size(); ++idx) {
-    ReduceTask& task = *reduce_tasks_[idx];
+    const ReduceTask& task = *reduce_tasks_[idx];
     if (task.node == kInvalidNode) continue;  // queued or re-queued
     if (task.phase != TaskPhase::kStarting &&
         task.phase != TaskPhase::kFetching) {
       continue;
     }
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    if (tracer_ != nullptr && tracer_->task_open(ttok(task.id))) {
-      tracer_->task_end(
-          ttok(task.id), sim_->now(),
-          {{"status", "requeued"}, {"reason", "map output lost"}});
-    }
     const NodeId host = task.node;
-    task.node = kInvalidNode;
-    task.phase = TaskPhase::kStarting;
-    task.integrator.reset();
-    --running_reduce_count_;
-    reduce_requeue_.push_back(idx);
+    requeue_reducer(idx, "map output lost");
     rm_.release(host);
   }
 }
 
-void JobDriver::check_data_loss(
-    const std::vector<std::uint32_t>& suspect_blocks) {
+void JobDriver::check_data_loss(std::vector<std::uint32_t> suspects,
+                                const std::vector<BlockUnitId>& reclaimed) {
   if (!replica_mgr_ || done_) return;
+  for (const BlockUnitId bu : reclaimed) {
+    suspects.push_back(layout_->bus[bu].block);
+  }
+  std::sort(suspects.begin(), suspects.end());
+  suspects.erase(std::unique(suspects.begin(), suspects.end()),
+                 suspects.end());
   const std::uint32_t min_live = layout_->min_live();
   std::vector<std::uint32_t> lost;
-  for (const std::uint32_t block : suspect_blocks) {
+  for (const std::uint32_t block : suspects) {
     if (replica_mgr_->live_holder_count(block) >= min_live) continue;
     bool unread = false;
     for (const BlockUnitId bu : layout_->blocks[block].bus) {
@@ -1696,7 +1582,7 @@ void JobDriver::on_block_re_replicated(std::uint32_t block, NodeId target) {
                target, kInvalidTask, 0, block);
   if (erasure) {
     ++result_.parts_reconstructed;
-    if (ctr_parts_reconstructed_) ctr_parts_reconstructed_->inc();
+    if (ctr_.parts_reconstructed) ctr_.parts_reconstructed->inc();
   }
   if (replica_mgr_) {
     result_.repair_read_mib = replica_mgr_->repair_read_mib();
@@ -1704,9 +1590,7 @@ void JobDriver::on_block_re_replicated(std::uint32_t block, NodeId target) {
   index_.add_replica(layout_->blocks[block], target);
   scheduler_->on_block_rehosted(*this, block, target);
   // The new local pool may unblock a scheduler that declined its slots.
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_later();
 }
 
 void JobDriver::on_disk_fault(NodeId node, std::uint32_t disk) {
@@ -1732,13 +1616,9 @@ void JobDriver::on_disk_fault(NodeId node, std::uint32_t disk) {
     index_.drop_replica(layout_->blocks[block], node);
   }
   check_data_loss(report.zero);
-  if (!done_) {
-    // Locality changed under the schedulers' feet; re-offer so delay
-    // cursors re-evaluate against the shrunken pools.
-    sim_->schedule_after(0.0, [this]() {
-      if (!done_) rm_.offer_all();
-    });
-  }
+  // Locality changed under the schedulers' feet; re-offer so delay
+  // cursors re-evaluate against the shrunken pools.
+  if (!done_) reoffer_later();
 }
 
 void JobDriver::on_node_silent(NodeId node) {
@@ -1749,21 +1629,8 @@ void JobDriver::on_node_silent(NodeId node) {
   // completion/startup events are cancelled — from the AM's perspective
   // the tasks have simply stopped reporting. Heartbeat expiry (or the
   // node's own re-registration) later turns this into a detected loss.
-  for (const TaskId id : live_map_ids_) {
-    MapTask& task = *map_tasks_[id];
-    if (task.node != node || task.phase == TaskPhase::kDone) continue;
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    if (task.integrator) task.integrator->set_rate(sim_->now(), 0.0);
-    if (tracer_ != nullptr && tracer_->task_open(ttok(id))) {
-      tracer_->task_instant(ttok(id), "frozen (node silent)", sim_->now());
-    }
-  }
-  for (auto& owned : reduce_tasks_) {
-    ReduceTask& task = *owned;
-    if (task.node != node || task.phase == TaskPhase::kDone) continue;
+  const auto freeze = [this, node](auto& task) {
+    if (task.node != node || task.phase == TaskPhase::kDone) return;
     if (task.pending_event != kInvalidEvent) {
       sim_->cancel(task.pending_event);
       task.pending_event = kInvalidEvent;
@@ -1773,7 +1640,9 @@ void JobDriver::on_node_silent(NodeId node) {
       tracer_->task_instant(ttok(task.id), "frozen (node silent)",
                             sim_->now());
     }
-  }
+  };
+  for (const TaskId id : live_map_ids_) freeze(*map_tasks_[id]);
+  for (auto& owned : reduce_tasks_) freeze(*owned);
 }
 
 void JobDriver::on_node_rejoin(NodeId node) {
@@ -1798,71 +1667,31 @@ void JobDriver::on_node_rejoin(NodeId node) {
     index_.restore_node(node);
   }
   scheduler_->on_node_recovered(*this, node);
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_later();
 }
 
 void JobDriver::map_attempt_fail(TaskId id) {
   MapTask& task = *map_tasks_[id];
-  FLEXMR_ASSERT(task.phase != TaskPhase::kDone);
   task.pending_event = kInvalidEvent;  // the failure event itself fired
-  task.phase = TaskPhase::kDone;
-  --running_map_count_;
-
   const NodeId node = task.node;
   const bool launch_failure = task.planned_fault == PlannedFault::kLaunchFail;
-  const MiB consumed =
-      task.integrator ? task.integrator->done(sim_->now()) : 0.0;
-  record_map(task, TaskStatus::kFailed, consumed, 0);
-  trace_task_closed(id, "failed",
-                    launch_failure ? "launch failure" : "attempt failure",
-                    consumed);
+  kill_map(task, TaskStatus::kFailed,
+           launch_failure ? "launch failure" : "attempt failure", nullptr);
 
+  // A surviving twin covers this work, so the failure costs nothing but
+  // the dead attempt's slot time; otherwise the returned BUs are charged.
   std::vector<BlockUnitId> reclaimed;
-  std::uint32_t worst_attempts = 0;
-  BlockUnitId worst_bu = 0;
-  if (task.twin != kInvalidTask) {
-    // The surviving twin covers this work; the failure costs nothing but
-    // the dead attempt's slot time. BU ownership moves to the twin.
-    MapTask& twin = *map_tasks_[task.twin];
-    twin.twin = kInvalidTask;
-    task.twin = kInvalidTask;
-    if (task.owns_bus) {
-      twin.owns_bus = true;
-      task.owns_bus = false;
-    }
-    task.bus.clear();
-  } else if (task.owns_bus) {
-    for (const BlockUnitId bu : task.bus) {
-      const std::uint32_t attempts = ++bu_attempt_failures_[bu];
-      if (journal_ != nullptr) journal_->record_bu_attempt_failure(bu);
-      if (attempts > worst_attempts) {
-        worst_attempts = attempts;
-        worst_bu = bu;
-      }
-    }
-    index_.put_back(task.bus);
-    reclaimed = std::move(task.bus);
-    task.bus.clear();
-    task.size = 0;
-  } else {
-    task.bus.clear();  // non-owning copy: duplicate of the owner's list
-  }
+  hand_on_bus(task, kInvalidNode, reclaimed);
+  const WorstUnit worst = charge_bu_failures(reclaimed);
 
   record_fault(launch_failure ? faults::FaultEventType::kLaunchFailure
                               : faults::FaultEventType::kAttemptFailure,
-               node, id, worst_attempts);
+               node, id, worst.attempts);
   note_node_attempt_failure(node);
-  if (worst_attempts >= plan_.max_attempts) {
-    abort_job("map input unit " + std::to_string(worst_bu) + " failed " +
-              std::to_string(worst_attempts) + " attempts");
-  }
+  abort_if_exhausted(worst);
   if (!done_) scheduler_->on_attempt_failed(*this, node, reclaimed);
   rm_.release(node);
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_later();
 }
 
 void JobDriver::reduce_attempt_fail(std::size_t idx) {
@@ -1871,37 +1700,14 @@ void JobDriver::reduce_attempt_fail(std::size_t idx) {
   task.pending_event = kInvalidEvent;
 
   const NodeId node = task.node;
+  const TaskId id = task.id;
   const bool launch_failure = task.planned_fault == PlannedFault::kLaunchFail;
+  const char* reason = launch_failure ? "launch failure" : "attempt failure";
   const MiB consumed =
       task.integrator ? task.integrator->done(sim_->now()) : 0.0;
-
-  TaskRecord rec;
-  rec.id = task.id;
-  rec.node = node;
-  rec.kind = TaskKind::kReduce;
-  rec.status = TaskStatus::kFailed;
-  rec.dispatch_time = task.dispatch_time;
-  rec.compute_start = task.compute_start;
-  rec.end_time = sim_->now();
-  rec.input_mib = consumed;
-  rec.phase_progress_at_end = 1.0;
-  result_.tasks.push_back(rec);
-  if (tracer_ != nullptr && tracer_->task_open(ttok(rec.id))) {
-    tracer_->task_end(
-        ttok(rec.id), sim_->now(),
-        {{"status", "failed"},
-         {"reason", launch_failure ? "launch failure" : "attempt failure"},
-         {"consumed_mib", consumed}});
-  }
-
-  --running_reduce_count_;
-  task.node = kInvalidNode;
-  task.phase = TaskPhase::kStarting;
-  task.integrator.reset();
-  task.compute_start = 0;
-  task.planned_fault = PlannedFault::kNone;
-  task.fail_frac = 0;
-  reduce_requeue_.push_back(idx);
+  record_reduce(task, TaskStatus::kFailed, consumed, 1.0);
+  trace_task_closed(id, "failed", reason, consumed);
+  requeue_reducer(idx, reason);
 
   const std::uint32_t attempts = ++reduce_attempt_failures_[idx];
   if (journal_ != nullptr) {
@@ -1909,13 +1715,34 @@ void JobDriver::reduce_attempt_fail(std::size_t idx) {
   }
   record_fault(launch_failure ? faults::FaultEventType::kLaunchFailure
                               : faults::FaultEventType::kAttemptFailure,
-               node, rec.id, attempts);
+               node, id, attempts);
   note_node_attempt_failure(node);
   if (attempts >= plan_.max_attempts) {
-    abort_job("reduce task " + std::to_string(rec.id) + " failed " +
+    abort_job("reduce task " + std::to_string(id) + " failed " +
               std::to_string(attempts) + " attempts");
   }
   rm_.release(node);
+  reoffer_later();
+}
+
+JobDriver::WorstUnit JobDriver::charge_bu_failures(
+    const std::vector<BlockUnitId>& bus) {
+  WorstUnit worst;
+  for (const BlockUnitId bu : bus) {
+    const std::uint32_t attempts = ++bu_attempt_failures_[bu];
+    if (journal_ != nullptr) journal_->record_bu_attempt_failure(bu);
+    if (attempts > worst.attempts) worst = WorstUnit{bu, attempts};
+  }
+  return worst;
+}
+
+void JobDriver::abort_if_exhausted(const WorstUnit& worst) {
+  if (worst.attempts < plan_.max_attempts) return;
+  abort_job("map input unit " + std::to_string(worst.bu) + " failed " +
+            std::to_string(worst.attempts) + " attempts");
+}
+
+void JobDriver::reoffer_later() {
   sim_->schedule_after(0.0, [this]() {
     if (!done_) rm_.offer_all();
   });
@@ -2063,29 +1890,10 @@ void JobDriver::trace_setup() {
   }
 
   // All instruments are registered up front: the registry's column layout
-  // freezes at the first sampled row. Counters and histograms dedupe by
-  // name, so drivers sharing one session aggregate into service-wide
-  // instruments.
+  // freezes at the first sampled row.
   auto& metrics = trace_->metrics();
-  ctr_maps_dispatched_ = &metrics.counter("maps_dispatched");
-  ctr_maps_completed_ = &metrics.counter("maps_completed");
-  ctr_maps_killed_ = &metrics.counter("maps_killed");
-  ctr_speculative_kills_ = &metrics.counter("speculative_kills");
-  ctr_reduces_dispatched_ = &metrics.counter("reduces_dispatched");
-  ctr_reduces_completed_ = &metrics.counter("reduces_completed");
-  ctr_fetch_failures_ = &metrics.counter("fetch_failures");
-  ctr_fault_events_ = &metrics.counter("fault_events");
-  ctr_heartbeats_ = &metrics.counter("heartbeats");
-  ctr_am_restarts_ = &metrics.counter("am_restarts");
-  ctr_redone_units_ = &metrics.counter("redone_work_units");
-  ctr_degraded_reads_ = &metrics.counter("degraded_reads");
-  ctr_parts_reconstructed_ = &metrics.counter("parts_reconstructed");
-  if (am_attempt_ > 1) ctr_am_restarts_->inc();
-  metrics.histogram("map.total_runtime_s");
-  metrics.histogram("map.effective_runtime_s");
-  metrics.histogram("map.input_mib");
-  metrics.histogram("reduce.total_runtime_s");
-  metrics.histogram("reduce.input_mib");
+  ctr_ = register_instruments(metrics);
+  if (am_attempt_ > 1) ctr_.am_restarts->inc();
 
   if (!trace_ns_.register_gauges) {
     trace_begin_phase(map_phase_done_ ? "reduce phase (recovered)"
@@ -2147,6 +1955,30 @@ void JobDriver::trace_setup() {
                                     : "map phase");
 }
 
+JobDriver::Counters JobDriver::register_instruments(
+    obs::MetricsRegistry& metrics) {
+  Counters ctr;
+  ctr.maps_dispatched = &metrics.counter("maps_dispatched");
+  ctr.maps_completed = &metrics.counter("maps_completed");
+  ctr.maps_killed = &metrics.counter("maps_killed");
+  ctr.speculative_kills = &metrics.counter("speculative_kills");
+  ctr.reduces_dispatched = &metrics.counter("reduces_dispatched");
+  ctr.reduces_completed = &metrics.counter("reduces_completed");
+  ctr.fetch_failures = &metrics.counter("fetch_failures");
+  ctr.fault_events = &metrics.counter("fault_events");
+  ctr.heartbeats = &metrics.counter("heartbeats");
+  ctr.am_restarts = &metrics.counter("am_restarts");
+  ctr.redone_units = &metrics.counter("redone_work_units");
+  ctr.degraded_reads = &metrics.counter("degraded_reads");
+  ctr.parts_reconstructed = &metrics.counter("parts_reconstructed");
+  metrics.histogram("map.total_runtime_s");
+  metrics.histogram("map.effective_runtime_s");
+  metrics.histogram("map.input_mib");
+  metrics.histogram("reduce.total_runtime_s");
+  metrics.histogram("reduce.input_mib");
+  return ctr;
+}
+
 void JobDriver::trace_begin_phase(const char* name) {
   if (tracer_ == nullptr) return;
   tracer_->begin({trace_ns_.job_pid, 0}, name, "phase", sim_->now());
@@ -2173,7 +2005,7 @@ void JobDriver::trace_map_begin(const MapTask& task) {
        {"local_fraction", task.local_fraction},
        {"speculative", task.speculative}});
   tracer_->task_child_begin(ttok(task.id), "startup", task.dispatch_time);
-  ctr_maps_dispatched_->inc();
+  ctr_.maps_dispatched->inc();
 }
 
 void JobDriver::trace_task_closed(TaskId id, const char* status,

@@ -61,22 +61,6 @@ struct TraceNamespace {
   bool register_gauges = true;
 };
 
-/// Everything a crashed AM attempt hands its successor: the durable
-/// cluster-level state that outlives one AM (fault plan, armed injector,
-/// NameNode live view) plus the journal replay the successor resumes
-/// from. The unique_ptr moves keep the injector and replica manager at
-/// stable addresses — their pending simulator events capture raw
-/// pointers — and the new driver re-points their handlers at itself in
-/// start().
-struct AmRecoveryBaton {
-  faults::FaultPlan plan;
-  std::unique_ptr<faults::FaultInjector> injector;
-  std::unique_ptr<hdfs::ReplicaManager> replica_mgr;
-  recover::JobJournal* journal = nullptr;
-  std::uint32_t next_attempt = 2;
-  recover::RecoveredState recovered;
-};
-
 class JobDriver final : public DriverContext {
  public:
   /// Single-job form: the driver owns a ResourceManager over the whole
@@ -170,16 +154,17 @@ class JobDriver final : public DriverContext {
   /// attempt's teardown accounting. No-op once done().
   void crash_am();
 
-  /// Hands the crashed attempt's durable state (plan, armed injector,
-  /// NameNode view, journal replay) to the successor. Only valid after
+  /// Builds AM attempt N+1 of this crashed attempt: a not-yet-started
+  /// driver for the same job that allocates from `rm` (the RM outlives
+  /// the application attempt). It takes over the durable cluster-level
+  /// state — fault plan, armed injector, NameNode view, journal — and its
+  /// start() replays the journal, re-pending only uncommitted work. The
+  /// injector and replica manager move by pointer: their pending
+  /// simulator events capture raw pointers, and start() re-points their
+  /// handlers at the successor. Stamps this attempt's AmAttemptRecord
+  /// with the restart time and replayed units. Only valid after
   /// crash_am().
-  AmRecoveryBaton release_recovery();
-
-  /// Makes this not-yet-started driver AM attempt N+1: adopts the dead
-  /// attempt's baton, and start() replays the journal — re-pending only
-  /// uncommitted work — instead of starting from scratch. Shared-RM form
-  /// only (the successor allocates from the surviving RM).
-  void adopt_recovery(AmRecoveryBaton baton);
+  std::unique_ptr<JobDriver> successor(yarn::ResourceManager& rm);
 
   /// The RM this driver allocates from; the recovery runner re-points a
   /// surviving single-job RM's offer handler at each new attempt.
@@ -195,6 +180,30 @@ class JobDriver final : public DriverContext {
   /// Shared-session form: same as set_trace(trace) but records under the
   /// given per-job namespace so several jobs merge into one document.
   void set_trace(obs::TraceSession* trace, TraceNamespace ns);
+
+  /// The counters a traced driver bumps (null until tracing starts).
+  struct Counters {
+    obs::MetricsRegistry::Counter* maps_dispatched = nullptr;
+    obs::MetricsRegistry::Counter* maps_completed = nullptr;
+    obs::MetricsRegistry::Counter* maps_killed = nullptr;
+    obs::MetricsRegistry::Counter* speculative_kills = nullptr;
+    obs::MetricsRegistry::Counter* reduces_dispatched = nullptr;
+    obs::MetricsRegistry::Counter* reduces_completed = nullptr;
+    obs::MetricsRegistry::Counter* fetch_failures = nullptr;
+    obs::MetricsRegistry::Counter* fault_events = nullptr;
+    obs::MetricsRegistry::Counter* heartbeats = nullptr;
+    obs::MetricsRegistry::Counter* am_restarts = nullptr;
+    obs::MetricsRegistry::Counter* redone_units = nullptr;
+    obs::MetricsRegistry::Counter* degraded_reads = nullptr;
+    obs::MetricsRegistry::Counter* parts_reconstructed = nullptr;
+  };
+
+  /// Registers every counter and histogram a driver records into. They
+  /// dedupe by name, so drivers sharing one session aggregate into
+  /// service-wide instruments. The registry's column layout freezes at
+  /// the first sampled row, so a shared session whose jobs start after
+  /// sampling began calls this up front.
+  static Counters register_instruments(obs::MetricsRegistry& metrics);
 
   // --- DriverContext ---
   SimTime now() const override { return sim_->now(); }
@@ -314,9 +323,29 @@ class JobDriver final : public DriverContext {
 
   bool handle_offer(NodeId node);
   void dispatch_map(NodeId node, MapLaunch launch);
+  /// Draws the fate of an attempt dispatched to `node` (none without an
+  /// injector).
+  void draw_planned_fault(NodeId node, PlannedFault& fault,
+                          double& fail_frac);
   void map_compute_start(TaskId id);
   void map_complete(TaskId id);
-  void kill_map(TaskId id, TaskStatus final_status);
+  /// Every map attempt that ends early goes through here: cancels its
+  /// pending event, marks it done, lowers the running count and returns
+  /// the input it consumed.
+  MiB end_map_attempt(MapTask& task);
+  /// Ends `task` without credit: records it as `status`, closes its span
+  /// with `reason` and bumps `counter` (null = none). The caller releases
+  /// the slot. Returns the consumed input.
+  MiB kill_map(MapTask& task, TaskStatus status, const char* reason,
+               obs::MetricsRegistry::Counter* counter);
+  /// Hands dead attempt `task`'s BUs on. A surviving twin takes them over,
+  /// with the duty to return them should it die too; otherwise the owner
+  /// puts them back in the index and appends them to `reclaimed`. The
+  /// twin dies with `task` when it is still running on `lost_node`.
+  void hand_on_bus(MapTask& task, NodeId lost_node,
+                   std::vector<BlockUnitId>& reclaimed);
+  /// Credits `task`'s BUs: processed count, read state, node output.
+  void credit_map(MapTask& task);
   void record_map(const MapTask& task, TaskStatus status, MiB consumed,
                   std::uint32_t credited_bus);
   void finish_map_phase();
@@ -333,6 +362,12 @@ class JobDriver final : public DriverContext {
   void report_fetch_failure(NodeId host);
   void reduce_compute_start(std::size_t idx);
   void reduce_complete(std::size_t idx);
+  void record_reduce(const ReduceTask& task, TaskStatus status, MiB input,
+                     double phase_progress);
+  /// Puts dispatched reducer `idx` back in the requeue lane: cancels its
+  /// pending event, closes its span with `reason` and clears the attempt
+  /// (node, phase, progress, compute start, planned fault).
+  void requeue_reducer(std::size_t idx, const char* reason);
 
   void heartbeat();
   void on_speed_change(NodeId node);
@@ -351,7 +386,19 @@ class JobDriver final : public DriverContext {
   void on_node_rejoin(NodeId node);
   void map_attempt_fail(TaskId id);
   void reduce_attempt_fail(std::size_t idx);
+  struct WorstUnit {
+    BlockUnitId bu = 0;
+    std::uint32_t attempts = 0;
+  };
+  /// Charges one failed attempt to each of `bus` (journaled) and returns
+  /// the unit with the most failures.
+  WorstUnit charge_bu_failures(const std::vector<BlockUnitId>& bus);
+  /// Aborts the job once `worst` has used up FaultPlan::max_attempts.
+  void abort_if_exhausted(const WorstUnit& worst);
   void note_node_attempt_failure(NodeId node);
+  /// Offers every free slot once the current event unwinds, unless the
+  /// job is done by then.
+  void reoffer_later();
   bool blacklist_saturated() const;
   void abort_job(const std::string& reason);
   void record_fault(faults::FaultEventType type, NodeId node,
@@ -366,9 +413,11 @@ class JobDriver final : public DriverContext {
   /// Re-opens the map phase after output loss: stalls every reducer that
   /// has not started computing and requeues it for redispatch.
   void reopen_map_phase_for_lost_outputs();
-  /// Aborts with DataLossError semantics if any `suspect` block has zero
-  /// live replicas, unread BUs, and no dead holder with a rejoin pending.
-  void check_data_loss(const std::vector<std::uint32_t>& suspect_blocks);
+  /// Aborts with DataLossError semantics if any `suspects` block, or the
+  /// block of any `reclaimed` BU (unread again), is below read quorum with
+  /// unread BUs and no dead holder with a rejoin pending.
+  void check_data_loss(std::vector<std::uint32_t> suspects,
+                       const std::vector<BlockUnitId>& reclaimed = {});
   /// NameNode re-replication pipeline callback: a copy of `block` (or a
   /// reconstructed rs(k,m) part) landed on `target`.
   void on_block_re_replicated(std::uint32_t block, NodeId target);
@@ -498,19 +547,7 @@ class JobDriver final : public DriverContext {
   obs::EventTracer* tracer_ = nullptr;
   TraceNamespace trace_ns_;
   bool trace_phase_open_ = false;
-  obs::MetricsRegistry::Counter* ctr_maps_dispatched_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_maps_completed_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_maps_killed_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_speculative_kills_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_reduces_dispatched_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_reduces_completed_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_fetch_failures_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_fault_events_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_heartbeats_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_am_restarts_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_redone_units_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_degraded_reads_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_parts_reconstructed_ = nullptr;
+  Counters ctr_;
 
   JobResult result_;
 };

@@ -92,23 +92,28 @@ std::size_t JobResult::map_tasks_launched() const {
 }
 
 JobResult merge_attempts(const std::vector<const JobResult*>& earlier,
-                         JobResult last,
-                         const std::vector<AmAttemptRecord>& records) {
+                         JobResult last) {
   if (!earlier.empty()) {
     // Attempts are disjoint in time and internally chronological, so
     // concatenation preserves order.
     std::vector<TaskRecord> tasks;
     std::vector<faults::FaultEvent> events;
+    std::vector<AmAttemptRecord> records;
     for (const JobResult* r : earlier) {
       tasks.insert(tasks.end(), r->tasks.begin(), r->tasks.end());
       events.insert(events.end(), r->fault_events.begin(),
                     r->fault_events.end());
+      records.insert(records.end(), r->am_attempts.begin(),
+                     r->am_attempts.end());
     }
     tasks.insert(tasks.end(), last.tasks.begin(), last.tasks.end());
     events.insert(events.end(), last.fault_events.begin(),
                   last.fault_events.end());
+    records.insert(records.end(), last.am_attempts.begin(),
+                   last.am_attempts.end());
     last.tasks = std::move(tasks);
     last.fault_events = std::move(events);
+    last.am_attempts = std::move(records);
     // The job began when attempt 1 did; AM downtime counts against JCT.
     last.submit_time = earlier.front()->submit_time;
     last.map_phase_start = earlier.front()->map_phase_start;
@@ -116,10 +121,9 @@ JobResult merge_attempts(const std::vector<const JobResult*>& earlier,
       last.map_phase_end = std::max(last.map_phase_end, r->map_phase_end);
     }
   }
-  last.am_attempts = records;
   last.redone_work_mib = 0;
   last.redone_work_units = 0;
-  for (const AmAttemptRecord& rec : records) {
+  for (const AmAttemptRecord& rec : last.am_attempts) {
     last.redone_work_mib += rec.wasted_mib;
     last.redone_work_units += rec.wasted_units;
   }

@@ -176,14 +176,13 @@ struct JobResult {
 };
 
 /// Stitches a job's AM attempts into one result. `last` is the final
-/// attempt's result, `earlier` the retired attempts' in attempt order, and
-/// `records` the per-attempt crash records. Earlier attempts' task records
-/// and fault events come first; submit time and map-phase start come from
-/// attempt 1 and map-phase end is the latest of all attempts. `records`
-/// become am_attempts, and their wasted work sums to the redone totals.
+/// attempt's result and `earlier` the retired attempts' in attempt order.
+/// Earlier attempts' task records and fault events come first; submit
+/// time and map-phase start come from attempt 1 and map-phase end is the
+/// latest of all attempts. Each crashed attempt's own crash record joins
+/// am_attempts, and their wasted work sums to the redone totals.
 JobResult merge_attempts(const std::vector<const JobResult*>& earlier,
-                         JobResult last,
-                         const std::vector<AmAttemptRecord>& records);
+                         JobResult last);
 
 /// Thrown by JobDriver::run when the job aborts instead of completing
 /// (a unit of work exceeded max_attempts, or every node died with no

@@ -48,9 +48,6 @@ std::size_t MultiJobCoordinator::submit(const hdfs::FileLayout& layout,
       *sim_, *cluster_, layout, std::move(spec), params, scheduler, rm_);
   entry.submit_time = submit_time;
   entry.weight = weight;
-  entry.layout = &layout;
-  entry.params = params;
-  entry.scheduler = &scheduler;
   jobs_.push_back(std::move(entry));
   const std::size_t j = jobs_.size() - 1;
   if (started_) {
@@ -158,13 +155,7 @@ void MultiJobCoordinator::start_job(std::size_t j) {
   FLEXMR_ASSERT(!entry.started);
   entry.started = true;
   if (trace_ != nullptr) {
-    TraceNamespace ns;
-    ns.job_pid = obs::service_job_pid(j);
-    ns.token_base = static_cast<std::uint64_t>(j) * obs::kServiceTokenStride;
-    ns.label = "job " + std::to_string(j) + ": " + entry.driver->job().name;
-    ns.register_gauges = false;  // Service-level gauges live on the
-                                 // coordinator (see trace_setup).
-    entry.driver->set_trace(trace_, std::move(ns));
+    entry.driver->set_trace(trace_, trace_namespace(j, 1));
   }
   entry.driver->start();
   // A job admitted after a crash still has the dead node in its static
@@ -226,7 +217,6 @@ void MultiJobCoordinator::on_am_crash(std::size_t j) {
   // not running.
   if (!entry.started || entry.recovering || entry.driver->done()) return;
   entry.driver->crash_am();
-  entry.attempt_records.push_back(entry.driver->result().am_attempts.back());
   if (entry.driver->am_attempt() >= am_recovery_.max_attempts) {
     // Stays done() with recovering false, so job_finished() reports it and
     // result(j) carries the abort reason.
@@ -240,26 +230,9 @@ void MultiJobCoordinator::on_am_crash(std::size_t j) {
 
 void MultiJobCoordinator::restart_am(std::size_t j) {
   Entry& entry = jobs_[j];
-  AmRecoveryBaton baton = entry.driver->release_recovery();
-  entry.attempt_records.back().restart_time = sim_->now();
-  entry.attempt_records.back().replayed_units =
-      static_cast<std::uint64_t>(baton.recovered.replayed_units());
-
-  JobSpec spec = entry.driver->job();  // Copy before retiring the owner.
-  auto next = std::make_unique<JobDriver>(*sim_, *cluster_, *entry.layout,
-                                          std::move(spec), entry.params,
-                                          *entry.scheduler, rm_);
-  const std::uint32_t attempt_no = baton.next_attempt;
-  next->adopt_recovery(std::move(baton));
+  std::unique_ptr<JobDriver> next = entry.driver->successor(rm_);
   if (trace_ != nullptr) {
-    TraceNamespace ns;
-    ns.job_pid = obs::service_job_pid(j);
-    ns.token_base =
-        static_cast<std::uint64_t>(j) * obs::kServiceTokenStride +
-        kAmAttemptTokenStride * (attempt_no - 1);
-    ns.label = "job " + std::to_string(j) + ": " + next->job().name;
-    ns.register_gauges = false;
-    next->set_trace(trace_, std::move(ns));
+    next->set_trace(trace_, trace_namespace(j, next->am_attempt()));
   }
   entry.retired.push_back(std::move(entry.driver));
   entry.driver = std::move(next);
@@ -288,7 +261,19 @@ JobResult MultiJobCoordinator::result(std::size_t job) const {
   }
   std::vector<const JobResult*> earlier;
   for (const auto& old : entry.retired) earlier.push_back(&old->result());
-  return merge_attempts(earlier, std::move(merged), entry.attempt_records);
+  return merge_attempts(earlier, std::move(merged));
+}
+
+TraceNamespace MultiJobCoordinator::trace_namespace(
+    std::size_t j, std::uint32_t attempt) const {
+  TraceNamespace ns;
+  ns.job_pid = obs::service_job_pid(j);
+  ns.token_base = static_cast<std::uint64_t>(j) * obs::kServiceTokenStride +
+                  kAmAttemptTokenStride * (attempt - 1);
+  ns.label = "job " + std::to_string(j) + ": " + jobs_[j].driver->job().name;
+  // Service-level gauges live on the coordinator (see trace_setup).
+  ns.register_gauges = false;
+  return ns;
 }
 
 void MultiJobCoordinator::preemption_pass() {
@@ -367,26 +352,10 @@ void MultiJobCoordinator::trace_setup() {
 
   // The metrics column layout freezes at the first sampled row, but jobs
   // register their instruments only when they start — possibly long after
-  // sampling began. Pre-registering every driver instrument here (they
-  // dedupe by name) pins the layout before the first row.
+  // sampling began — so the driver's instruments are registered here.
   auto& metrics = trace_->metrics();
-  metrics.counter("maps_dispatched");
-  metrics.counter("maps_completed");
-  metrics.counter("maps_killed");
-  metrics.counter("speculative_kills");
-  metrics.counter("reduces_dispatched");
-  metrics.counter("reduces_completed");
-  metrics.counter("fetch_failures");
-  metrics.counter("fault_events");
-  metrics.counter("heartbeats");
-  metrics.counter("am_restarts");
-  metrics.counter("redone_work_units");
+  JobDriver::register_instruments(metrics);
   ctr_preemptions_ = &metrics.counter("preemptions");
-  metrics.histogram("map.total_runtime_s");
-  metrics.histogram("map.effective_runtime_s");
-  metrics.histogram("map.input_mib");
-  metrics.histogram("reduce.total_runtime_s");
-  metrics.histogram("reduce.input_mib");
 
   // Service-level gauges, registered once (drivers skip theirs in shared
   // sessions — gauges do not dedupe). The coordinator must outlive every

@@ -153,8 +153,10 @@ class MultiJobCoordinator {
   void on_node_failure(NodeId node);
   /// Kills job j's live AM; schedules the restart or marks it aborted.
   void on_am_crash(std::size_t j);
-  /// Builds job j's successor attempt from the crashed one's baton.
+  /// Builds job j's successor attempt from the crashed one and starts it.
   void restart_am(std::size_t j);
+  /// Job j's trace namespace for AM attempt `attempt`.
+  TraceNamespace trace_namespace(std::size_t j, std::uint32_t attempt) const;
   void preemption_pass();
   std::uint32_t handle_preemption(std::uint32_t want);
   void trace_setup();
@@ -172,17 +174,10 @@ class MultiJobCoordinator {
     SimTime submit_time = 0;
     double weight = 1.0;
     bool started = false;
-    // Construction inputs, kept so a successor AM attempt can be built
-    // (`layout` and `scheduler` must outlive the run — same contract as
-    // submit()).
-    const hdfs::FileLayout* layout = nullptr;
-    SimParams params;
-    Scheduler* scheduler = nullptr;
     // AM-crash recovery (populated only for journaled jobs).
     std::unique_ptr<recover::JobJournal> journal;
     bool recovering = false;  ///< Crashed; successor not yet started.
     bool am_aborted = false;  ///< Crashed with no attempts left.
-    std::vector<AmAttemptRecord> attempt_records;
     /// Crashed attempts stay alive: their pending events are done()-gated
     /// and their task records feed result(job).
     std::vector<std::unique_ptr<JobDriver>> retired;

@@ -38,15 +38,7 @@ std::string trace_csv(const JobResult& result) {
   return os.str();
 }
 
-std::string gantt(const JobResult& result, const cluster::Cluster& cluster,
-                  std::size_t width) {
-  FLEXMR_ASSERT(width >= 10);
-  const SimTime t0 = result.submit_time;
-  const SimTime t1 = std::max(result.finish_time, t0 + 1e-9);
-  const double scale = static_cast<double>(width) / (t1 - t0);
-
-  // Assign each task to the first lane of its node that is free at its
-  // dispatch time (tasks sorted by dispatch → greedy packing is valid).
+std::vector<TaskLane> pack_lanes(const JobResult& result) {
   std::vector<const TaskRecord*> sorted;
   sorted.reserve(result.tasks.size());
   for (const auto& task : result.tasks) sorted.push_back(&task);
@@ -57,50 +49,63 @@ std::string gantt(const JobResult& result, const cluster::Cluster& cluster,
               }
               return a->id < b->id;
             });
+  // Tasks sorted by dispatch make greedy packing valid.
+  std::unordered_map<NodeId, std::vector<SimTime>> busy_until;
+  std::vector<TaskLane> packed;
+  packed.reserve(sorted.size());
+  for (const TaskRecord* task : sorted) {
+    auto& busy = busy_until[task->node];
+    std::uint32_t lane = 0;
+    while (lane < busy.size() && busy[lane] > task->dispatch_time + 1e-9) {
+      ++lane;
+    }
+    if (lane == busy.size()) busy.push_back(0.0);
+    busy[lane] = task->end_time;
+    packed.push_back(TaskLane{task, lane});
+  }
+  return packed;
+}
 
-  struct Lane {
+std::string gantt(const JobResult& result, const cluster::Cluster& cluster,
+                  std::size_t width) {
+  FLEXMR_ASSERT(width >= 10);
+  const SimTime t0 = result.submit_time;
+  const SimTime t1 = std::max(result.finish_time, t0 + 1e-9);
+  const double scale = static_cast<double>(width) / (t1 - t0);
+
+  struct Row {
     NodeId node;
     std::uint32_t slot;
-    SimTime busy_until = -1.0;
-    std::string row;
+    std::string cells;
   };
-  std::vector<Lane> lanes;
-  std::vector<std::size_t> first_lane(cluster.num_nodes());
+  std::vector<Row> rows;
+  std::vector<std::size_t> first_row(cluster.num_nodes());
   for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    first_lane[n] = lanes.size();
+    first_row[n] = rows.size();
     for (std::uint32_t s = 0; s < cluster.machine(n).slots(); ++s) {
-      lanes.push_back(Lane{n, s, -1.0, std::string(width, '.')});
+      rows.push_back(Row{n, s, std::string(width, '.')});
     }
   }
 
-  for (const TaskRecord* task : sorted) {
-    const std::size_t begin_lane = first_lane[task->node];
-    const std::size_t end_lane = begin_lane + cluster.machine(task->node).slots();
-    Lane* lane = nullptr;
-    for (std::size_t l = begin_lane; l < end_lane; ++l) {
-      if (lanes[l].busy_until <= task->dispatch_time + 1e-9) {
-        lane = &lanes[l];
-        break;
-      }
-    }
-    if (lane == nullptr) lane = &lanes[begin_lane];  // defensive fallback
-    lane->busy_until = task->end_time;
-    auto col = [&](SimTime t) {
-      const auto c = static_cast<std::size_t>((t - t0) * scale);
-      return std::min(c, width - 1);
-    };
+  auto col = [&](SimTime t) {
+    const auto c = static_cast<std::size_t>((t - t0) * scale);
+    return std::min(c, width - 1);
+  };
+  for (const auto& [task, lane] : pack_lanes(result)) {
+    const std::uint32_t slots = cluster.machine(task->node).slots();
+    Row& row = rows[first_row[task->node] + (lane < slots ? lane : 0)];
     const std::size_t from = col(task->dispatch_time);
     const std::size_t to = std::max(from, col(task->end_time));
-    for (std::size_t c = from; c <= to; ++c) lane->row[c] = glyph(*task);
+    for (std::size_t c = from; c <= to; ++c) row.cells[c] = glyph(*task);
   }
 
   std::ostringstream os;
   os << "t = " << t0 << " .. " << t1 << " s   ('=' map, '#' reduce, "
      << "'x' killed, '.' idle)\n";
-  for (const auto& lane : lanes) {
-    os << "node " << lane.node;
-    if (lane.node < 10) os << ' ';
-    os << " slot " << lane.slot << " |" << lane.row << "|\n";
+  for (const auto& row : rows) {
+    os << "node " << row.node;
+    if (row.node < 10) os << ' ';
+    os << " slot " << row.slot << " |" << row.cells << "|\n";
   }
   return os.str();
 }
@@ -126,46 +131,17 @@ std::string job_result_trace_json(const JobResult& result) {
                     result.map_phase_end - result.map_phase_start, {});
   }
 
-  // Greedy per-node lane packing, as in gantt: tasks sorted by dispatch
-  // take the lowest lane free at their dispatch time. Unlike gantt the
-  // lane count is not capped at the slot count (a JobResult alone does
-  // not know the cluster), so overlap never collides.
-  std::vector<const TaskRecord*> sorted;
-  sorted.reserve(result.tasks.size());
-  for (const auto& task : result.tasks) sorted.push_back(&task);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const TaskRecord* a, const TaskRecord* b) {
-              if (a->dispatch_time != b->dispatch_time) {
-                return a->dispatch_time < b->dispatch_time;
-              }
-              return a->id < b->id;
-            });
-  std::unordered_map<NodeId, std::vector<SimTime>> lanes;
-  for (const TaskRecord* task : sorted) {
+  for (const auto& [task, lane] : pack_lanes(result)) {
     const std::uint32_t pid = obs::node_pid(task->node);
-    auto [it, inserted] = lanes.try_emplace(task->node);
-    if (inserted) {
-      tracer.set_process_name(pid,
-                              "node " + std::to_string(task->node));
-    }
-    auto& busy_until = it->second;
-    std::size_t lane = 0;
-    while (lane < busy_until.size() &&
-           busy_until[lane] > task->dispatch_time + 1e-9) {
-      ++lane;
-    }
-    if (lane == busy_until.size()) {
-      busy_until.push_back(0.0);
-      tracer.set_thread_name(pid, static_cast<std::uint32_t>(lane + 1),
-                             "lane " + std::to_string(lane + 1));
-    }
-    busy_until[lane] = task->end_time;
+    const std::uint32_t tid = lane + 1;
+    // Names are keyed by id, so naming again on every task is harmless.
+    tracer.set_process_name(pid, "node " + std::to_string(task->node));
+    tracer.set_thread_name(pid, tid, "lane " + std::to_string(tid));
 
     std::string name = std::string(to_string(task->kind)) + ' ' +
                        std::to_string(task->id);
     if (task->speculative) name += " (spec)";
-    tracer.complete({pid, static_cast<std::uint32_t>(lane + 1)},
-                    std::move(name), to_string(task->kind),
+    tracer.complete({pid, tid}, std::move(name), to_string(task->kind),
                     task->dispatch_time,
                     task->end_time - task->dispatch_time,
                     {{"status", to_string(task->status)},

@@ -21,31 +21,25 @@ RecoveryRunner::RecoveryRunner(Simulator& sim, cluster::Cluster& cluster,
                                faults::FaultPlan plan,
                                obs::TraceSession* trace)
     : sim_(&sim),
-      cluster_(&cluster),
-      layout_(&layout),
-      job_(std::move(job)),
-      params_(params),
-      scheduler_(&scheduler),
       plan_(std::move(plan)),
       trace_(trace),
       rng_(params.seed ^ 0x5ec0feed0a11fa17ULL) {
   FLEXMR_ASSERT_MSG(plan_.has_am_faults(),
                     "RecoveryRunner without AM faults; use JobDriver::run");
-}
-
-mr::JobResult RecoveryRunner::run() {
-  FLEXMR_ASSERT_MSG(attempts_.empty(), "RecoveryRunner is one-shot");
-
   // Attempt 1 is a plain single-job driver: it owns the RM and arms the
   // cluster's interference models, exactly as a runner-less run would.
-  auto first = std::make_unique<mr::JobDriver>(*sim_, *cluster_, *layout_,
-                                               job_, params_, *scheduler_);
+  auto first = std::make_unique<mr::JobDriver>(sim, cluster, layout,
+                                               std::move(job), params,
+                                               scheduler);
   first->install_faults(plan_);
   first->set_journal(&journal_);
   if (trace_ != nullptr) first->set_trace(trace_);
   current_ = first.get();
   attempts_.push_back(std::move(first));
-  current_->start();
+}
+
+mr::JobResult RecoveryRunner::run() {
+  current_->start();  // one-shot: a second start() fails its assertion
 
   // Fixed crash times kill whichever attempt is live then; a crash landing
   // in AM downtime (or after the job finished) finds no AM to kill.
@@ -81,7 +75,6 @@ void RecoveryRunner::on_am_crash() {
   // Finished, aborted in-attempt, or already crashed (downtime): inert.
   if (current_->done()) return;
   current_->crash_am();
-  attempt_records_.push_back(current_->result().am_attempts.back());
 
   if (current_->am_attempt() >= plan_.am_max_attempts) {
     aborted_ = true;
@@ -97,21 +90,13 @@ void RecoveryRunner::on_am_crash() {
 }
 
 void RecoveryRunner::restart() {
-  mr::AmRecoveryBaton baton = current_->release_recovery();
-  attempt_records_.back().restart_time = sim_->now();
-  attempt_records_.back().replayed_units =
-      static_cast<std::uint64_t>(baton.recovered.replayed_units());
-
   // Every successor allocates from attempt 1's surviving RM (YARN outlives
   // the application attempt); the offer stream re-points at it.
   yarn::ResourceManager& rm = attempts_.front()->resource_manager();
-  auto next = std::make_unique<mr::JobDriver>(
-      *sim_, *cluster_, *layout_, job_, params_, *scheduler_, rm);
-  const std::uint32_t attempt_no = baton.next_attempt;
-  next->adopt_recovery(std::move(baton));
+  std::unique_ptr<mr::JobDriver> next = current_->successor(rm);
   if (trace_ != nullptr) {
     mr::TraceNamespace ns;
-    ns.token_base = kAttemptTokenStride * (attempt_no - 1);
+    ns.token_base = kAttemptTokenStride * (next->am_attempt() - 1);
     ns.register_gauges = false;  // gauges are per-driver; one copy suffices
     next->set_trace(trace_, ns);
   }
@@ -160,7 +145,7 @@ mr::JobResult RecoveryRunner::merge() const {
   for (std::size_t i = 0; i + 1 < attempts_.size(); ++i) {
     earlier.push_back(&attempts_[i]->result());
   }
-  return mr::merge_attempts(earlier, std::move(merged), attempt_records_);
+  return mr::merge_attempts(earlier, std::move(merged));
 }
 
 }  // namespace flexmr::recover

@@ -12,10 +12,10 @@
 //   * the runner schedules the plan's fixed `am_crashes` plus one
 //     exponential(am_crash_mttf_s) lifetime draw per attempt from its own
 //     RNG stream, and fires crash_am() on whichever attempt is live,
-//   * after `am_restart_delay_s`, the crashed attempt's baton (fault plan,
-//     armed injector, NameNode view, journal replay) moves into a fresh
-//     shared-RM driver that re-registers with the surviving RM and replays
-//     the journal — re-running only uncommitted work,
+//   * after `am_restart_delay_s`, the crashed attempt's successor() — a
+//     fresh shared-RM driver holding its fault plan, armed injector,
+//     NameNode view and journal — re-registers with the surviving RM and
+//     replays the journal, re-running only uncommitted work,
 //   * a crash on attempt `am_max_attempts` aborts the job (JobAbortedError),
 //   * the final JobResult is the last attempt's, with every prior attempt's
 //     task records and fault events stitched in chronologically and the
@@ -45,9 +45,9 @@ namespace flexmr::recover {
 
 class RecoveryRunner {
  public:
-  /// Mirrors the single-job wiring of workloads::run_job. `plan` must have
-  /// AM faults (otherwise use JobDriver::run directly); it is validated by
-  /// attempt 1's start().
+  /// Mirrors the single-job wiring of workloads::run_job and builds
+  /// attempt 1. `plan` must have AM faults (otherwise use JobDriver::run
+  /// directly); it is validated by attempt 1's start().
   RecoveryRunner(Simulator& sim, cluster::Cluster& cluster,
                  const hdfs::FileLayout& layout, mr::JobSpec job,
                  mr::SimParams params, mr::Scheduler& scheduler,
@@ -72,7 +72,7 @@ class RecoveryRunner {
  private:
   /// Kills the live attempt; schedules the replacement or aborts the job.
   void on_am_crash();
-  /// Builds attempt N+1 from the crashed attempt's baton and starts it.
+  /// Builds attempt N+1 as the crashed attempt's successor and starts it.
   void restart();
   /// Draws the current attempt's exponential lifetime (if mttf is armed).
   void arm_mttf();
@@ -80,11 +80,6 @@ class RecoveryRunner {
   mr::JobResult merge() const;
 
   Simulator* sim_;
-  cluster::Cluster* cluster_;
-  const hdfs::FileLayout* layout_;
-  mr::JobSpec job_;
-  mr::SimParams params_;
-  mr::Scheduler* scheduler_;
   faults::FaultPlan plan_;
   obs::TraceSession* trace_;
   /// AM-lifetime draws: a stream of its own so arming MTTF crashes never
@@ -101,9 +96,6 @@ class RecoveryRunner {
   bool aborted_ = false;
   std::string abort_reason_;
   SimTime abort_time_ = 0;
-  /// Crash/replay records across attempts (restart_time and
-  /// replayed_units are filled in at the successor's registration).
-  std::vector<mr::AmAttemptRecord> attempt_records_;
 };
 
 }  // namespace flexmr::recover

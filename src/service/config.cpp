@@ -1,12 +1,25 @@
 #include "service/config.hpp"
 
+#include <cctype>
 #include <cstdlib>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace flexmr::service {
 
 namespace {
+
+std::string trim(const std::string& value) {
+  std::size_t lo = 0, hi = value.size();
+  while (lo < hi && std::isspace(static_cast<unsigned char>(value[lo]))) {
+    ++lo;
+  }
+  while (hi > lo && std::isspace(static_cast<unsigned char>(value[hi - 1]))) {
+    --hi;
+  }
+  return value.substr(lo, hi - lo);
+}
 
 /// Splits "WC, II, TS" into trimmed tokens.
 std::vector<std::string> split_csv(const std::string& value) {
@@ -15,18 +28,38 @@ std::vector<std::string> split_csv(const std::string& value) {
   while (pos <= value.size()) {
     std::size_t comma = value.find(',', pos);
     if (comma == std::string::npos) comma = value.size();
-    std::size_t lo = pos, hi = comma;
-    while (lo < hi && std::isspace(static_cast<unsigned char>(value[lo]))) {
-      ++lo;
-    }
-    while (hi > lo &&
-           std::isspace(static_cast<unsigned char>(value[hi - 1]))) {
-      --hi;
-    }
-    if (hi > lo) out.push_back(value.substr(lo, hi - lo));
+    std::string token = trim(value.substr(pos, comma - pos));
+    if (!token.empty()) out.push_back(std::move(token));
     pos = comma + 1;
   }
   return out;
+}
+
+/// Reads `<prefix>1`, `<prefix>2`, ... up to the first gap, each as
+/// `<id> @ <seconds>`. `form` spells that shape in the ConfigError raised
+/// for a malformed entry.
+std::vector<std::pair<std::uint64_t, double>> read_at_list(
+    const Config& config, const std::string& prefix, const char* form) {
+  std::vector<std::pair<std::uint64_t, double>> out;
+  for (int i = 1;; ++i) {
+    const std::string key = prefix + std::to_string(i);
+    const auto value = config.get(key);
+    if (!value) return out;
+    const std::size_t at = value->find('@');
+    const std::string id = trim(value->substr(0, at));
+    const std::string secs =
+        at == std::string::npos ? "" : trim(value->substr(at + 1));
+    char* id_end = nullptr;
+    char* secs_end = nullptr;
+    const std::uint64_t n = std::strtoull(id.c_str(), &id_end, 10);
+    const double t = std::strtod(secs.c_str(), &secs_end);
+    if (id.empty() || !std::isdigit(static_cast<unsigned char>(id[0])) ||
+        *id_end != '\0' || secs.empty() || *secs_end != '\0') {
+      throw ConfigError("key '" + key + "' must be '" + form + "': " +
+                        *value);
+    }
+    out.emplace_back(n, t);
+  }
 }
 
 }  // namespace
@@ -51,7 +84,9 @@ cluster::Cluster build_cluster(const Config& config) {
                                : cluster::no_interference());
   }
   if (!any) {
-    throw ConfigError("config defines no [groupN] cluster sections");
+    throw ConfigError(
+        "config defines no [groupN] cluster sections (missing key "
+        "'group1.count')");
   }
   return builder.build();
 }
@@ -121,34 +156,36 @@ ServiceConfig parse_service_config(const Config& config) {
     out.tenants.push_back(std::move(tenant));
   }
 
-  for (int i = 1;; ++i) {
-    const auto value = config.get("failures.node" + std::to_string(i));
-    if (!value) break;
-    const auto at = value->find('@');
-    if (at == std::string::npos) {
-      throw ConfigError("failure spec must be '<node> @ <time>': " + *value);
-    }
-    out.node_failures.emplace_back(
-        static_cast<NodeId>(std::stoul(value->substr(0, at))),
-        std::stod(value->substr(at + 1)));
+  for (const auto& [node, at] :
+       read_at_list(config, "failures.node", "<node> @ <time>")) {
+    out.node_failures.emplace_back(static_cast<NodeId>(node), at);
   }
 
   // [am] — AM-crash injection: crashN = '<job> @ <seconds after admission>'.
   out.am_max_attempts = static_cast<std::uint32_t>(
       config.get_int("am.max_attempts", 2));
   out.am_restart_delay_s = config.get_double("am.restart_delay_s", 10.0);
-  for (int i = 1;; ++i) {
-    const auto value = config.get("am.crash" + std::to_string(i));
-    if (!value) break;
-    const auto at = value->find('@');
-    if (at == std::string::npos) {
-      throw ConfigError("AM crash spec must be '<job> @ <offset>': " +
-                        *value);
-    }
-    out.am_crashes.emplace_back(
-        static_cast<std::size_t>(std::stoul(value->substr(0, at))),
-        std::stod(value->substr(at + 1)));
+  for (const auto& [job, offset] :
+       read_at_list(config, "am.crash", "<job> @ <offset>")) {
+    out.am_crashes.emplace_back(static_cast<std::size_t>(job), offset);
   }
+  return out;
+}
+
+JobConfig parse_job_config(const Config& config) {
+  JobConfig out;
+  out.bench = workloads::benchmark(config.get_string("job.benchmark", "WC"));
+  out.bench.small_input = gib_to_mib(config.get_double("job.input_gib", 4));
+  out.run.block_size = config.get_double("job.block_mb", 64.0);
+  out.run.params.seed =
+      static_cast<std::uint64_t>(config.get_int("run.seed", 1));
+  for (const auto& [node, at] :
+       read_at_list(config, "failures.node", "<node> @ <time>")) {
+    out.run.faults.crashes.push_back(faults::NodeCrash{
+        static_cast<NodeId>(node), at, std::nullopt, /*silent=*/false});
+  }
+  out.scheduler =
+      parse_scheduler_kind(config.get_string("run.scheduler", "flexmap"));
   return out;
 }
 

@@ -1,11 +1,22 @@
-// INI front end for the cluster service: tools, benches and examples
-// describe a multi-tenant scenario in a flat config file instead of code.
+// INI front end: tools, benches and examples describe a cluster plus a
+// multi-tenant scenario or a single job in a flat config file instead of
+// code.
 //
-//   [group1]            # cluster node groups, as in examples/custom_cluster
+//   [group1]            # cluster node groups, read until the first gap
 //   model = rack server
 //   count = 8
 //   ips = 12
 //   slots = 4
+//   slowdown = 1.0      # < 1 runs the group at that fraction of speed
+//
+//   [job]               # single job (flexmr-trace, custom_cluster)
+//   benchmark = WC      # PUMA code
+//   input_gib = 4
+//   block_mb = 64
+//
+//   [run]
+//   seed = 9
+//   scheduler = flexmap
 //
 //   [service]
 //   total_jobs = 100
@@ -45,8 +56,19 @@ namespace flexmr::service {
 /// group is defined.
 cluster::Cluster build_cluster(const Config& config);
 
-/// Parses [service], [preemption], [tenantN] and [failures] sections.
+/// Parses [service], [preemption], [tenantN], [failures] and [am].
 ServiceConfig parse_service_config(const Config& config);
+
+/// A single job on the cluster.
+struct JobConfig {
+  workloads::Benchmark bench;
+  workloads::SchedulerKind scheduler = workloads::SchedulerKind::kFlexMap;
+  workloads::RunConfig run;
+};
+
+/// Parses [job], [run] and [failures]; each failure is an
+/// oracle-detected, permanent crash.
+JobConfig parse_job_config(const Config& config);
 
 /// "hadoop" | "hadoop-nospec" | "skewtune" | "flexmap" | "flexmap-nov" |
 /// "flexmap-noh" | "flexmap-norb".

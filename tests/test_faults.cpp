@@ -8,6 +8,7 @@
 #include <string>
 
 #include "cluster/presets.hpp"
+#include "common/rng.hpp"
 #include "mr/result_json.hpp"
 #include "workloads/experiment.hpp"
 
@@ -274,6 +275,71 @@ TEST_P(FaultSweep, TransientFetchFailuresRetryAndComplete) {
       << workloads::scheduler_label(GetParam());
   const std::string json = mr::job_result_json(result);
   EXPECT_NE(json.find("\"fetch-failure\""), std::string::npos);
+}
+
+TEST_P(FaultSweep, LateCrashesRequeueDispatchedReducers) {
+  // Silent crashes with rejoin between 20 and 120 s reach the reduce
+  // phase, while fetch and launch failures keep re-opening the map phase
+  // and requeuing reducers. A node lost while it holds a dispatched
+  // reducer must requeue that reducer in either phase, or the reducer
+  // stays frozen there and the job never finishes. A requeued reducer
+  // whose next attempt dies before its fetch starts must not report the
+  // earlier attempt's compute start. Each seed broke one or both rules
+  // for some scheduler before requeuing had a single implementation.
+  for (const std::uint64_t seed : {2u, 96u, 163u}) {
+    auto cluster = cluster::ClusterBuilder()
+                       .add({.model = "fast", .base_ips = 14.0, .slots = 4}, 3)
+                       .add({.model = "mid", .base_ips = 11.0, .slots = 4}, 5)
+                       .add({.model = "slow", .base_ips = 4.0, .slots = 4}, 4)
+                       .build();
+    const auto bench = bench_with(8192.0, 0.5);
+    FaultPlan plan;
+    Rng rng(seed);
+    const auto crashes = 1 + rng() % 3;
+    for (std::uint64_t i = 0; i < crashes; ++i) {
+      const SimTime at = 20.0 + 100.0 * rng.uniform();
+      NodeId node = 0;
+      do {
+        node = static_cast<NodeId>(rng() % cluster.num_nodes());
+      } while (std::any_of(
+          plan.crashes.begin(), plan.crashes.end(),
+          [node](const NodeCrash& c) { return c.node == node; }));
+      plan.crashes.push_back(
+          NodeCrash{node, at, at + 30.0 + 60.0 * rng.uniform(), true});
+    }
+    plan.fetch_failure_prob = 0.01;
+    plan.container_launch_failure_prob = 0.02;
+    plan.max_attempts = 8;
+
+    const auto layout = workloads::make_layout(
+        bench, InputScale::kSmall, cluster.num_nodes(), 64.0, 3, seed);
+    const auto spec = workloads::to_job_spec(bench, InputScale::kSmall);
+    const auto scheduler = workloads::make_scheduler(GetParam(), seed);
+    Simulator sim;
+    mr::SimParams params;
+    params.seed = seed;
+    mr::JobDriver driver(sim, cluster, layout, spec, params, *scheduler);
+    driver.install_faults(plan);
+    driver.start();
+    // The jobs finish within ~150 simulated seconds; a stalled job keeps
+    // heartbeating forever, so the run is cut instead of hanging.
+    while (!driver.done() && sim.now() < 5000.0 && sim.step()) {
+    }
+    const std::string label =
+        workloads::scheduler_label(GetParam()) + " seed " +
+        std::to_string(seed);
+    ASSERT_TRUE(driver.done()) << label << " stalled at t=" << sim.now();
+    EXPECT_FALSE(driver.result().aborted) << label;
+    check_exactly_once(driver.result(), layout.bus.size());
+    for (const auto& task : driver.result().tasks) {
+      if (task.kind != mr::TaskKind::kReduce) continue;
+      EXPECT_FALSE(task.compute_start > 0 &&
+                   task.compute_start < task.dispatch_time)
+          << label << ": reducer " << task.id << " dispatched at "
+          << task.dispatch_time << " reports compute start "
+          << task.compute_start;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -21,6 +21,7 @@
 #include "cluster/presets.hpp"
 #include "mr/multi_job.hpp"
 #include "mr/result_json.hpp"
+#include "obs/session.hpp"
 #include "recover/runner.hpp"
 #include "service/service.hpp"
 #include "workloads/experiment.hpp"
@@ -345,13 +346,14 @@ TEST(Recovery, ServiceSurvivesAmLossDeterministically) {
   config.params.seed = 99;
   config.am_crashes = {{0, 20.0}};
 
-  auto run_service = [&]() {
+  auto run_service = [&](obs::TraceSession* trace) {
     auto cluster = cluster::presets::homogeneous6();
     Simulator sim;
     service::ClusterService svc(sim, cluster, config);
+    svc.set_trace(trace);
     return svc.run();
   };
-  const auto result = run_service();
+  const auto result = run_service(nullptr);
   EXPECT_EQ(result.total_jobs, 4u);
   EXPECT_EQ(result.am_restarts, 1u);
   ASSERT_EQ(result.jobs.size(), 4u);
@@ -362,7 +364,10 @@ TEST(Recovery, ServiceSurvivesAmLossDeterministically) {
   }
   const std::string json = result.json();
   EXPECT_NE(json.find("\"am_restarts\""), std::string::npos);
-  EXPECT_EQ(json, run_service().json());
+  // The successor AM records into the same trace session as its
+  // predecessor; tracing leaves the run unchanged.
+  obs::TraceSession trace;
+  EXPECT_EQ(json, run_service(&trace).json());
 }
 
 // Pinned golden: a mid-map AM crash on the paper's 20-node virtual

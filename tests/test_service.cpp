@@ -16,7 +16,10 @@
 #include <vector>
 
 #include "cluster/presets.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
+#include "obs/session.hpp"
+#include "service/config.hpp"
 #include "service/service.hpp"
 
 namespace flexmr::service {
@@ -51,10 +54,12 @@ ServiceConfig three_tenants(std::uint64_t seed, std::size_t jobs) {
   return config;
 }
 
-ServiceResult run_service(const ServiceConfig& config) {
+ServiceResult run_service(const ServiceConfig& config,
+                          obs::TraceSession* trace = nullptr) {
   auto cluster = cluster::presets::multitenant40(0.0);
   Simulator sim;
   ClusterService svc(sim, cluster, config);
+  svc.set_trace(trace);
   return svc.run();
 }
 
@@ -136,8 +141,49 @@ TEST(Service, DeterministicAcrossRuns) {
   // under preemption; keep it as the regression seed here.
   const auto config = three_tenants(1068, 20);
   const std::string first = run_service(config).json();
-  const std::string second = run_service(config).json();
+  // Tracing must not change the run. Jobs are admitted after sampling
+  // has begun, so every driver instrument has to be registered up front.
+  obs::TraceSession trace;
+  const std::string second = run_service(config, &trace).json();
   EXPECT_EQ(first, second);
+}
+
+/// Expects `fn` to throw a ConfigError whose message names `key`.
+template <typename Fn>
+void expect_config_error(Fn fn, const std::string& key) {
+  try {
+    fn();
+    ADD_FAILURE() << "no ConfigError for " << key;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+        << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "not a ConfigError: " << e.what();
+  }
+}
+
+TEST(ServiceConfig, MalformedInputNamesTheKey) {
+  const Config no_groups = Config::parse("[job]\nbenchmark = WC\n");
+  expect_config_error([&] { build_cluster(no_groups); }, "group1.count");
+  const Config bad_node = Config::parse("[failures]\nnode1 = x @ 5\n");
+  expect_config_error([&] { parse_service_config(bad_node); },
+                      "failures.node1");
+  expect_config_error([&] { parse_job_config(bad_node); }, "failures.node1");
+  const Config bad_time = Config::parse("[am]\ncrash1 = 0 @ soon\n");
+  expect_config_error([&] { parse_service_config(bad_time); }, "am.crash1");
+
+  const Config good = Config::parse(
+      "[failures]\nnode1 = 3 @ 500\nnode2 = 4@1.5\n[am]\ncrash1 = 0 @ 20\n");
+  const ServiceConfig service = parse_service_config(good);
+  ASSERT_EQ(service.node_failures.size(), 2u);
+  EXPECT_EQ(service.node_failures[1].first, 4u);
+  EXPECT_DOUBLE_EQ(service.node_failures[1].second, 1.5);
+  ASSERT_EQ(service.am_crashes.size(), 1u);
+  const JobConfig job = parse_job_config(good);
+  ASSERT_EQ(job.run.faults.crashes.size(), 2u);
+  EXPECT_EQ(job.run.faults.crashes[0].node, 3u);
+  EXPECT_DOUBLE_EQ(job.run.faults.crashes[0].at, 500.0);
+  EXPECT_FALSE(job.run.faults.crashes[0].silent);
 }
 
 TEST(Service, GoldenOpenArrivalHash) {

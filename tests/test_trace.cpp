@@ -1,12 +1,16 @@
 // Trace export and Gantt rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cluster/presets.hpp"
+#include "golden_cases.hpp"
 #include "mr/trace.hpp"
+#include "obs/tracer.hpp"
 #include "workloads/experiment.hpp"
 
 namespace flexmr::mr {
@@ -185,6 +189,77 @@ TEST(Trace, ReplayPacksOverlappingTasksOntoDistinctLanes) {
   // Three fully-overlapping tasks on one node need lanes 1..3.
   EXPECT_NE(doc.find("\"lane 1\""), std::string::npos);
   EXPECT_NE(doc.find("\"lane 3\""), std::string::npos);
+}
+
+TEST(Trace, GanttAndReplayPutEachTaskOnTheSameLane) {
+  // The FlexMap golden fault run: a crash with rejoin, attempt and fetch
+  // failures and speculation keep several lanes per node busy.
+  auto cluster = cluster::presets::virtual20();
+  workloads::RunConfig config;
+  config.params.seed = 1234;
+  config.faults = golden::golden_fault_plan();
+  const JobResult result = workloads::run_job(
+      cluster, workloads::benchmark("WC"), workloads::InputScale::kSmall,
+      workloads::SchedulerKind::kFlexMap, config);
+  const std::vector<TaskLane> packed = pack_lanes(result);
+  ASSERT_EQ(packed.size(), result.tasks.size());
+
+  // The replay emits one span per task, in packing order, on thread
+  // lane + 1 of the task's node.
+  const std::string doc = job_result_trace_json(result);
+  std::size_t k = 0;
+  for (std::size_t pos = doc.find("{\"ph\":\"X\""); pos != std::string::npos;
+       pos = doc.find("{\"ph\":\"X\"", pos + 1)) {
+    if (doc.compare(doc.find("\"cat\":", pos), 13, "\"cat\":\"phase\"") == 0) {
+      continue;  // job and map-phase spans
+    }
+    ASSERT_LT(k, packed.size());
+    const auto field = [&](const char* key) {
+      const std::size_t at = doc.find(key, pos) + std::string(key).size();
+      return std::strtoul(doc.c_str() + at, nullptr, 10);
+    };
+    EXPECT_EQ(field("\"pid\":"), obs::node_pid(packed[k].task->node)) << k;
+    EXPECT_EQ(field("\"tid\":"), packed[k].lane + 1) << k;
+    ++k;
+  }
+  EXPECT_EQ(k, packed.size());
+
+  // The chart draws each task on row `lane` of its node: redraw the busy
+  // cells from the packing and compare them row by row.
+  constexpr std::size_t kWidth = 120;
+  const SimTime t0 = result.submit_time;
+  const double scale = static_cast<double>(kWidth) / (result.finish_time - t0);
+  const auto col = [&](SimTime t) {
+    return std::min(static_cast<std::size_t>((t - t0) * scale), kWidth - 1);
+  };
+  std::vector<std::size_t> first_row;
+  std::vector<std::string> rows;
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    first_row.push_back(rows.size());
+    rows.resize(rows.size() + cluster.machine(n).slots(),
+                std::string(kWidth, '.'));
+  }
+  std::size_t overflow = 0;
+  for (const auto& [task, lane] : packed) {
+    const std::uint32_t slots = cluster.machine(task->node).slots();
+    if (lane >= slots) ++overflow;
+    std::string& row = rows[first_row[task->node] + (lane < slots ? lane : 0)];
+    const std::size_t from = col(task->dispatch_time);
+    for (std::size_t c = from; c <= std::max(from, col(task->end_time)); ++c) {
+      row[c] = '*';
+    }
+  }
+  std::istringstream lines(gantt(result, cluster, kWidth));
+  std::string line;
+  std::getline(lines, line);  // legend
+  for (const std::string& expected : rows) {
+    ASSERT_TRUE(std::getline(lines, line));
+    std::string busy = line.substr(line.find('|') + 1, kWidth);
+    std::replace_if(busy.begin(), busy.end(),
+                    [](char c) { return c != '.'; }, '*');
+    EXPECT_EQ(busy, expected) << line;
+  }
+  EXPECT_EQ(overflow, 0u);
 }
 
 }  // namespace
