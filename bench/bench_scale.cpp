@@ -17,9 +17,6 @@
 //   --schedulers=a,b   restrict the grid to a comma-separated subset of
 //                      the scheduler labels
 //                      (Hadoop-128m, Hadoop-64m, SkewTune-64m, FlexMap).
-//                      SkewTune's per-offer candidate scan makes its
-//                      10000-node point ~10x the others' cost, so large
-//                      one-off measurements usually want to exclude it.
 //   --profile          activate the self-profiler (DESIGN.md §15): host
 //                      wall-clock attribution for dispatch / RM offers /
 //                      speculation scans, written to PROFILE_scale.json
@@ -37,62 +34,11 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "cluster/interference.hpp"
+#include "bench/scale_grid.hpp"
 
 namespace {
 
 using namespace flexmr;
-
-// Heterogeneity mix modeled on the paper's physical testbed: a slow
-// desktop-class majority, a fast-server minority, and bursty interference
-// on ~20% of the fleet (§II-B's "hotspots may change during the job").
-cluster::Cluster make_scale_cluster(std::uint32_t nodes) {
-  cluster::MachineSpec fast{.model = "fast server", .base_ips = 14.0,
-                            .slots = 4, .nic_bandwidth = 1192.0,
-                            .memory_gb = 128.0};
-  cluster::MachineSpec mid{.model = "mid server", .base_ips = 11.0,
-                           .slots = 4, .nic_bandwidth = 1192.0,
-                           .memory_gb = 24.0};
-  cluster::MachineSpec slow{.model = "slow desktop", .base_ips = 4.0,
-                            .slots = 4, .nic_bandwidth = 1192.0,
-                            .memory_gb = 8.0};
-
-  cluster::OnOffInterference::Params bursty;
-  bursty.mean_idle_s = 120.0;
-  bursty.mean_busy_s = 90.0;
-  bursty.busy_lo = 0.35;
-  bursty.busy_hi = 0.8;
-
-  const std::uint32_t n_fast = std::max(1u, nodes / 8);        // ~12%
-  const std::uint32_t n_bursty = std::max(1u, nodes / 5);      // ~20%
-  const std::uint32_t n_slow = std::max(1u, (nodes * 3) / 10); // ~30%
-  const std::uint32_t n_mid = nodes - n_fast - n_bursty - n_slow;
-
-  return cluster::ClusterBuilder()
-      .add(fast, n_fast)
-      .add(mid, n_mid)
-      .add(slow, n_slow)
-      .add(mid, n_bursty, cluster::on_off_interference(bursty))
-      .build();
-}
-
-// A synthetic wordcount-like job sized so Hadoop-64m launches
-// `tasks_per_node * nodes` map tasks.
-workloads::Benchmark make_scale_benchmark(std::uint32_t nodes,
-                                          std::uint32_t tasks_per_node) {
-  workloads::Benchmark bench;
-  bench.code = "SCALE";
-  bench.name = "synthetic scaling workload";
-  bench.input_data = "synthetic";
-  bench.small_input =
-      static_cast<MiB>(nodes) * tasks_per_node * kDefaultBlockMiB;
-  bench.large_input = bench.small_input;
-  bench.map_cost = 1.0;
-  bench.shuffle_ratio = 0.1;
-  bench.reduce_cost = 0.5;
-  bench.record_skew = 0.4;
-  return bench;
-}
 
 std::vector<std::uint32_t> parse_list(const char* arg) {
   std::vector<std::uint32_t> out;
@@ -163,9 +109,9 @@ int main(int argc, char** argv) {
                    "wall (s)", "events", "events/s", "queue peak"});
 
   for (const std::uint32_t nodes : sizes) {
-    const auto bench_def = make_scale_benchmark(nodes, tasks_per_node);
+    const auto bench_def = bench::make_scale_benchmark(nodes, tasks_per_node);
     for (const auto& point : points) {
-      auto cluster = make_scale_cluster(nodes);
+      auto cluster = bench::make_scale_cluster(nodes);
       workloads::RunConfig config;
       config.block_size = point.block_size;
       config.params.seed = seed;

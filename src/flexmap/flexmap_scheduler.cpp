@@ -20,6 +20,7 @@ void FlexMapScheduler::on_job_start(mr::DriverContext& ctx) {
   speed_trace_.clear();
   reduce_quota_.clear();
   reduce_assigned_.clear();
+  sums_ = {};
 }
 
 void FlexMapScheduler::on_recovery(
@@ -131,12 +132,17 @@ void FlexMapScheduler::on_node_recovered(mr::DriverContext& ctx,
   reduce_assigned_.clear();
 }
 
-std::uint32_t FlexMapScheduler::end_game_cap(const mr::DriverContext& ctx,
-                                             NodeId node) const {
-  // This kernel (and capacity_share below) is a sequential FP sum over
-  // nodes: known_sum and cluster_rate round differently in any other
-  // addition order, so the walk stays in ascending node order.
-  // Observed per-container rates; unreported nodes assume the mean.
+FlexMapScheduler::CapacitySums& FlexMapScheduler::capacity_sums(
+    const mr::DriverContext& ctx) {
+  const std::uint64_t view = ctx.cluster_view_version();
+  if (view != 0 && view == sums_.view_version &&
+      monitor_->generation() == sums_.monitor_generation) {
+    return sums_;
+  }
+  // Sequential FP sums over nodes: known_sum and the total round
+  // differently in any other addition order, so the walks stay in
+  // ascending node order. Observed per-container rates; unreported nodes
+  // assume the mean.
   double known_sum = 0.0;
   std::size_t known = 0;
   for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
@@ -148,14 +154,21 @@ std::uint32_t FlexMapScheduler::end_game_cap(const mr::DriverContext& ctx,
   }
   const double fallback =
       known > 0 ? known_sum / static_cast<double>(known) : 1.0;
-  double cluster_rate = 0.0;
+  double total = 0.0;
   for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
     if (!ctx.node_alive(n)) continue;
-    cluster_rate += monitor_->get_speed(n).value_or(fallback) *
-                    ctx.machine_spec(n).slots;
+    total += monitor_->get_speed(n).value_or(fallback) *
+             ctx.machine_spec(n).slots;
   }
-  const double own_rate = monitor_->get_speed(node).value_or(fallback);
-  FLEXMR_ASSERT(cluster_rate > 0.0);
+  sums_ = {monitor_->generation(), view, fallback, total, std::nullopt};
+  return sums_;
+}
+
+std::uint32_t FlexMapScheduler::end_game_cap(const mr::DriverContext& ctx,
+                                             NodeId node) {
+  const CapacitySums& sums = capacity_sums(ctx);
+  const double own_rate = monitor_->get_speed(node).value_or(sums.fallback);
+  FLEXMR_ASSERT(sums.total > 0.0);
 
   // Cap at this container's capacity-proportional share of the unassigned
   // pool: if every container took exactly its share they would all finish
@@ -163,39 +176,33 @@ std::uint32_t FlexMapScheduler::end_game_cap(const mr::DriverContext& ctx,
   // bound loosens nothing early (the sizer's target is far below it) and
   // tightens automatically as the pool empties.
   const double share_bus = static_cast<double>(ctx.unassigned_bus()) *
-                           own_rate / cluster_rate;
+                           own_rate / sums.total;
   return share_bus < 1.0
              ? 1u
              : static_cast<std::uint32_t>(std::min(share_bus, 1e9));
 }
 
 double FlexMapScheduler::capacity_share(const mr::DriverContext& ctx,
-                                        NodeId node) const {
+                                        NodeId node) {
   // Machine capacity = observed per-container IPS × container count.
   // Nodes that never reported are assumed average-speed per container.
   if (!ctx.node_alive(node)) return 0.0;
-  double known_sum = 0.0;
-  std::size_t known = 0;
-  for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
-    if (!ctx.node_alive(n)) continue;
-    if (const auto speed = monitor_->get_speed(n)) {
-      known_sum += *speed;
-      ++known;
+  const CapacitySums& sums = capacity_sums(ctx);
+  FLEXMR_ASSERT(sums.total > 0.0);
+  return monitor_->get_speed(node).value_or(sums.fallback) *
+         ctx.machine_spec(node).slots / sums.total;
+}
+
+double FlexMapScheduler::max_capacity_share(const mr::DriverContext& ctx) {
+  CapacitySums& sums = capacity_sums(ctx);
+  if (!sums.max_share) {
+    double max_share = 0.0;
+    for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
+      max_share = std::max(max_share, capacity_share(ctx, n));
     }
+    sums.max_share = max_share;
   }
-  const double fallback =
-      known > 0 ? known_sum / static_cast<double>(known) : 1.0;
-  double own = 0.0;
-  double total = 0.0;
-  for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
-    if (!ctx.node_alive(n)) continue;
-    const double capacity = monitor_->get_speed(n).value_or(fallback) *
-                            ctx.machine_spec(n).slots;
-    if (n == node) own = capacity;
-    total += capacity;
-  }
-  FLEXMR_ASSERT(total > 0.0);
-  return own / total;
+  return *sums.max_share;
 }
 
 bool FlexMapScheduler::accept_reducer(mr::DriverContext& ctx, NodeId node) {
@@ -213,10 +220,7 @@ bool FlexMapScheduler::accept_reducer(mr::DriverContext& ctx, NodeId node) {
     FLEXMR_ASSERT(total > 0);
     std::vector<double> weight(ctx.num_nodes());
     double weight_sum = 0.0;
-    double max_share = 0.0;
-    for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
-      max_share = std::max(max_share, capacity_share(ctx, n));
-    }
+    const double max_share = max_capacity_share(ctx);
     FLEXMR_ASSERT(max_share > 0.0);
     for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
       const double c = capacity_share(ctx, n) / max_share;
@@ -251,10 +255,7 @@ bool FlexMapScheduler::accept_reducer(mr::DriverContext& ctx, NodeId node) {
   // the mean size; fast nodes take anything.
   const double mean = ctx.mean_reducer_input();
   if (mean > 0.0 && ctx.next_reducer_input() > 1.5 * mean) {
-    double max_share = 0.0;
-    for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
-      max_share = std::max(max_share, capacity_share(ctx, n));
-    }
+    const double max_share = max_capacity_share(ctx);
     const double c = max_share > 0.0
                          ? capacity_share(ctx, node) / max_share
                          : 1.0;

@@ -14,7 +14,9 @@
 // speculates: elasticity replaces backup copies.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -111,14 +113,29 @@ class FlexMapScheduler final : public mr::Scheduler {
   }
 
  private:
+  /// The cluster-wide sums behind end_game_cap and capacity_share, cached
+  /// per (SpeedMonitor generation, cluster-view version): they move only
+  /// on heartbeat rounds and liveness changes, not per offer.
+  struct CapacitySums {
+    std::uint64_t monitor_generation = 0;
+    std::uint64_t view_version = 0;  ///< 0: nothing cached.
+    /// Mean known per-container speed; stands in for unreported nodes.
+    double fallback = 1.0;
+    /// Σ per-container speed × containers over live nodes.
+    double total = 0.0;
+    /// Largest capacity_share; computed when accept_reducer first asks.
+    std::optional<double> max_share;
+  };
+  CapacitySums& capacity_sums(const mr::DriverContext& ctx);
+
   /// Node capacity (observed per-container IPS × containers) as a fraction
   /// of total cluster capacity. Unreported nodes assume the mean speed.
-  double capacity_share(const mr::DriverContext& ctx, NodeId node) const;
+  double capacity_share(const mr::DriverContext& ctx, NodeId node);
+  double max_capacity_share(const mr::DriverContext& ctx);
 
   /// Largest task (in BUs) a container on `node` can finish before the
   /// cluster drains the remaining map work.
-  std::uint32_t end_game_cap(const mr::DriverContext& ctx,
-                             NodeId node) const;
+  std::uint32_t end_game_cap(const mr::DriverContext& ctx, NodeId node);
 
   FlexMapOptions options_;
   std::unique_ptr<SpeedMonitor> monitor_;
@@ -134,6 +151,7 @@ class FlexMapScheduler final : public mr::Scheduler {
   /// Size (in BUs) of the launch produced by the current on_slot_free,
   /// consumed by the immediately following on_map_dispatch.
   std::uint32_t last_launch_epoch_ = 0;
+  CapacitySums sums_;
 };
 
 }  // namespace flexmr::flexmap

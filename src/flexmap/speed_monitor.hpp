@@ -16,6 +16,7 @@
 // in tests/test_speed_monitor.cpp).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -37,6 +38,7 @@ class SpeedMonitor {
   void update(NodeId node, MiBps ips) {
     FLEXMR_ASSERT(node < speeds_.size());
     FLEXMR_ASSERT(ips >= 0.0);
+    ++generation_;
     const std::optional<MiBps> old = speeds_[node];
     speeds_[node] = ips;
     if (!old) ++known_count_;
@@ -54,6 +56,7 @@ class SpeedMonitor {
   /// longer anchor the slowest/fastest baselines.
   void forget(NodeId node) {
     FLEXMR_ASSERT(node < speeds_.size());
+    ++generation_;
     if (speeds_[node]) {
       --known_count_;
       if (!dirty_ && anchors_extremum(*speeds_[node])) dirty_ = true;
@@ -89,6 +92,10 @@ class SpeedMonitor {
 
   std::size_t known_nodes() const { return known_count_; }
 
+  /// Moves on every update() and forget(), so callers can key values
+  /// derived from the speeds (FlexMap's capacity sums) on it.
+  std::uint64_t generation() const { return generation_; }
+
  private:
   bool anchors_extremum(MiBps speed) const {
     return (slowest_ && speed <= *slowest_) ||
@@ -105,6 +112,7 @@ class SpeedMonitor {
 
   std::vector<std::optional<MiBps>> speeds_;
   std::size_t known_count_ = 0;
+  std::uint64_t generation_ = 0;
   // Extrema cache; `dirty_` forces a rescan on the next query.
   mutable std::optional<MiBps> slowest_;
   mutable std::optional<MiBps> fastest_;

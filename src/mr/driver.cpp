@@ -357,6 +357,7 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
   map_tasks_.push_back(std::move(task));
   live_map_ids_.push_back(id);  // ids are dispatch-ordered, so this stays
                                 // ascending without a sort
+  ++map_state_version_;  // a new entry, and maybe the original's twin link
   if (tracer_ != nullptr) trace_map_begin(*map_tasks_[id]);
   scheduler_->on_map_dispatch(*this, id, node);
 }
@@ -385,6 +386,7 @@ void JobDriver::map_compute_start(TaskId id) {
   MapTask& task = *map_tasks_[id];
   task.phase = TaskPhase::kComputing;
   task.compute_start = sim_->now();
+  ++map_state_version_;
   task.integrator.emplace(task.size, map_rate(task), sim_->now());
   if (tracer_ != nullptr) {
     tracer_->task_child_end(ttok(id), task.compute_start);
@@ -443,6 +445,7 @@ void JobDriver::map_complete(TaskId id) {
   task.phase = TaskPhase::kDone;
   task.pending_event = kInvalidEvent;
   --running_map_count_;
+  ++map_state_version_;
 
   // NOTE: rm_.release / kill_map below can cascade into dispatch_map, which
   // may reallocate map_tasks_ — copy what we need before any of them.
@@ -511,6 +514,7 @@ MiB JobDriver::end_map_attempt(MapTask& task) {
   }
   task.phase = TaskPhase::kDone;
   --running_map_count_;
+  ++map_state_version_;
   return task.integrator ? task.integrator->done(sim_->now()) : 0.0;
 }
 
@@ -529,6 +533,7 @@ void JobDriver::hand_on_bus(MapTask& task, NodeId lost_node,
     MapTask& twin = *map_tasks_[task.twin];
     twin.twin = kInvalidTask;
     task.twin = kInvalidTask;
+    ++map_state_version_;  // a surviving twin loses its has_twin flag
     const bool twin_survives =
         twin.node != lost_node || twin.phase == TaskPhase::kDone;
     if (twin_survives && task.owns_bus) {
@@ -1098,6 +1103,7 @@ void JobDriver::heartbeat() {
     pending_ips_samples_[node].clear();
     if (hb_ips_cnt_[node] > 0) {
       round_ips_[node] = hb_ips_sum_[node] / hb_ips_cnt_[node];
+      ++cluster_view_version_;
     }
     scheduler_->on_heartbeat(*this, node);
   }
@@ -1270,6 +1276,7 @@ void JobDriver::restore_from_journal() {
     if (!rm_.is_dead(node)) continue;
     if (injector_ && injector_->responsive(node)) {
       rm_.mark_alive(node);
+      ++cluster_view_version_;
       rm_.record_heartbeat(node, sim_->now());
       if (replica_mgr_) replica_mgr_->on_node_restored(node);
       record_fault(faults::FaultEventType::kRejoin, node);
@@ -1389,6 +1396,7 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
   // node must be re-measured from scratch.
   round_ips_[node].reset();
   pending_ips_samples_[node].clear();
+  ++cluster_view_version_;
 
   // NameNode first: the node's replicas leave the live view (and the
   // index's local pools) before any BU is put back, so reclaimed work
@@ -1643,6 +1651,7 @@ void JobDriver::on_node_silent(NodeId node) {
   };
   for (const TaskId id : live_map_ids_) freeze(*map_tasks_[id]);
   for (auto& owned : reduce_tasks_) freeze(*owned);
+  ++map_state_version_;
 }
 
 void JobDriver::on_node_rejoin(NodeId node) {
@@ -1659,6 +1668,7 @@ void JobDriver::on_node_rejoin(NodeId node) {
   rm_.record_heartbeat(node, sim_->now());
   round_ips_[node].reset();
   pending_ips_samples_[node].clear();
+  ++cluster_view_version_;
   record_fault(faults::FaultEventType::kRejoin, node);
   if (replica_mgr_) {
     // Block report: a crash does not wipe the disk, so every replica the
@@ -1792,6 +1802,7 @@ void JobDriver::on_speed_change(NodeId node) {
     MapTask& task = *map_tasks_[id];
     if (task.node != node || task.phase != TaskPhase::kComputing) continue;
     task.integrator->set_rate(sim_->now(), map_rate(task));
+    ++map_state_version_;
     // A doomed attempt dies at its pre-drawn wall-clock moment; only the
     // progress it wastes is re-rated, not the death itself.
     if (task.planned_fault == PlannedFault::kAttemptFail) continue;
@@ -1814,9 +1825,9 @@ void JobDriver::on_speed_change(NodeId node) {
 
 std::vector<RunningMapInfo> JobDriver::running_maps() const {
   FLEXMR_PROF_SCOPE("mr/running_maps");
-  // The hottest driver scan (the schedulers call this every offer and
-  // every straggler probe). Entries are filled in place: building each in
-  // a local and copying it in cost about a third more per call (GCC 12,
+  // The hottest driver scan: LATE and SkewTune take one snapshot per
+  // (now, map_state_version()). Entries are filled in place: building each
+  // in a local and copying it in cost about a third more per call (GCC 12,
   // Release, x86-64).
   const SimTime now = sim_->now();
   std::vector<RunningMapInfo> out;

@@ -221,6 +221,12 @@ class JobDriver final : public DriverContext {
   std::uint32_t total_free_slots() const override { return rm_.total_free(); }
   std::uint32_t total_slots() const override { return rm_.total_slots(); }
   std::vector<RunningMapInfo> running_maps() const override;
+  std::uint64_t map_state_version() const override {
+    return map_state_version_;
+  }
+  std::uint64_t cluster_view_version() const override {
+    return cluster_view_version_;
+  }
   std::optional<MiBps> observed_ips(NodeId node) const override;
   double map_phase_progress() const override;
   std::size_t total_bus() const override { return layout_->bus.size(); }
@@ -527,6 +533,10 @@ class JobDriver final : public DriverContext {
   std::vector<cluster::Machine::SpeedListenerId> speed_listener_ids_;
   std::set<NodeId> failed_nodes_;  ///< Failures this driver has handled.
   std::size_t running_map_count_ = 0;
+  /// DriverContext state versions; they start at 1 because 0 means "not
+  /// tracked". Bumped at every mutation the accessors' contracts name.
+  std::uint64_t map_state_version_ = 1;
+  std::uint64_t cluster_view_version_ = 1;
   bool map_phase_done_ = false;
   bool done_ = false;
   bool started_ = false;

@@ -86,6 +86,15 @@ class DriverContext {
 
   virtual std::vector<RunningMapInfo> running_maps() const = 0;
 
+  /// State versions a policy may key cached derivations on. The map
+  /// version changes whenever running_maps() could return different
+  /// entries at the same now(); the cluster-view version whenever
+  /// observed_ips() or node_alive() could answer differently. 0 means
+  /// "not tracked: recompute" — the default, so a forwarding context that
+  /// does not forward them stays correct, only slower.
+  virtual std::uint64_t map_state_version() const { return 0; }
+  virtual std::uint64_t cluster_view_version() const { return 0; }
+
   /// Always null; kept only because perfbench/seams.hpp overrides it.
   virtual LaneSet* lane_set() const { return nullptr; }
 

@@ -199,10 +199,10 @@ RtResult MapReduceEngine::run(const Dataset& dataset, const MapFn& map_fn,
       }
       {
         std::lock_guard lock(state_mutex);
-        const double task_wall = seconds_since(task_start);
-        if (task_wall > 0) {
-          observed_speed[worker_index] =
-              static_cast<double>(count) / task_wall;
+        // Startup is excluded: it is the same for every worker, and on a
+        // one-chunk task it would hide the speed gap the sizer scales by.
+        if (work > 0) {
+          observed_speed[worker_index] = static_cast<double>(count) / work;
         }
         if (mode == Mode::kElastic) {
           sizer.on_task_complete(static_cast<NodeId>(worker_index), epoch,

@@ -12,18 +12,21 @@ namespace flexmr::sched {
 void SkewTuneScheduler::on_job_start(mr::DriverContext& ctx) {
   StockHadoopScheduler::on_job_start(ctx);
   chunks_.clear();
-  mitigation_tasks_.clear();
+  mitigation_task_.clear();
   pending_is_mitigation_ = false;
+  straggler_ = {};
 }
 
 void SkewTuneScheduler::on_recovery(
     mr::DriverContext& ctx, const recover::RecoveredState& recovered) {
   StockHadoopScheduler::on_recovery(ctx, recovered);
   // The virtual on_job_start re-entered above already cleared chunks_ /
-  // mitigation_tasks_ / pending_is_mitigation_; assert the contract so a
-  // future on_job_start refactor cannot silently leak pre-crash plans.
-  FLEXMR_ASSERT(chunks_.empty() && mitigation_tasks_.empty() &&
-                !pending_is_mitigation_);
+  // mitigation_task_ / pending_is_mitigation_ / straggler_; assert the
+  // contract so a future on_job_start refactor cannot silently leak
+  // pre-crash plans or a cached answer about the old attempt's tasks.
+  FLEXMR_ASSERT(chunks_.empty() && mitigation_task_.empty() &&
+                !pending_is_mitigation_ &&
+                straggler_.map_version == 0);
 }
 
 void SkewTuneScheduler::on_map_dispatch(mr::DriverContext& ctx, TaskId task,
@@ -31,7 +34,8 @@ void SkewTuneScheduler::on_map_dispatch(mr::DriverContext& ctx, TaskId task,
   (void)ctx;
   (void)node;
   if (pending_is_mitigation_) {
-    mitigation_tasks_.insert(task);
+    if (task >= mitigation_task_.size()) mitigation_task_.resize(task + 1, 0);
+    mitigation_task_[task] = 1;
     pending_is_mitigation_ = false;
   }
 }
@@ -60,18 +64,25 @@ void SkewTuneScheduler::on_attempt_failed(
   if (!loose.empty()) chunks_.push_back(std::move(loose));
 }
 
-TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) const {
-  // Runs on every idle offer once input drains — the worst O(nodes)
-  // control term on the 10k grid (~10× the others; see ROADMAP).
-  FLEXMR_PROF_SCOPE("sched/skewtune_argmax");
+TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) {
+  // Runs on every idle offer once input drains; within one offer sweep
+  // the answer comes from the cache.
   const SimTime now = ctx.now();
+  const std::uint64_t version = ctx.map_state_version();
+  if (version != 0 && version == straggler_.map_version &&
+      now == straggler_.now) {
+    return straggler_.task;
+  }
+  FLEXMR_PROF_SCOPE("sched/skewtune_argmax");
   const auto running = ctx.running_maps();
   // The strict `>` keeps the *first* maximum in snapshot order.
   TaskId best = kInvalidTask;
   double best_time_left = 0;
   for (const auto& info : running) {
     if (!info.computing) continue;
-    if (mitigation_tasks_.contains(info.id)) continue;
+    if (info.id < mitigation_task_.size() && mitigation_task_[info.id]) {
+      continue;
+    }
     if (info.size_mib <= 2 * kBlockUnitMiB) continue;  // nothing to split
     const SimDuration elapsed = now - info.dispatch_time;
     if (elapsed < options_.min_runtime_s) continue;
@@ -90,6 +101,7 @@ TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) const {
       best = info.id;
     }
   }
+  straggler_ = {now, version, best};
   return best;
 }
 

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <deque>
-#include <set>
 #include <vector>
 
 #include "sched/stock.hpp"
@@ -68,8 +67,10 @@ class SkewTuneScheduler final : public StockHadoopScheduler {
 
  private:
   /// Picks the straggler to mitigate; returns kInvalidTask if none is
-  /// worth it.
-  TaskId find_straggler(mr::DriverContext& ctx) const;
+  /// worth it. The answer is cached per (now, map version): its only other
+  /// input, the mitigation flags, changes right after a dispatch, which
+  /// moves the version.
+  TaskId find_straggler(mr::DriverContext& ctx);
 
   /// Serves the first chunk whose input blocks are still readable (a chunk
   /// of a replica-less block stays queued until a holder rejoins).
@@ -77,11 +78,18 @@ class SkewTuneScheduler final : public StockHadoopScheduler {
 
   SkewTuneOptions options_;
   std::deque<std::vector<BlockUnitId>> chunks_;  ///< Planned mitigation work.
-  /// Tasks created by mitigation — never re-mitigated (SkewTune splits a
-  /// straggler once; recursively splitting its own repair tasks would pay
-  /// the repartition overhead over and over).
-  std::set<TaskId> mitigation_tasks_;
+  /// Per TaskId (dense dispatch indices), 1 for tasks created by
+  /// mitigation — never re-mitigated (SkewTune splits a straggler once;
+  /// recursively splitting its own repair tasks would pay the repartition
+  /// overhead over and over).
+  std::vector<char> mitigation_task_;
   bool pending_is_mitigation_ = false;
+  struct StragglerCache {
+    SimTime now = 0;
+    std::uint64_t map_version = 0;  ///< 0: nothing cached.
+    TaskId task = kInvalidTask;
+  };
+  StragglerCache straggler_;
 };
 
 }  // namespace flexmr::sched

@@ -21,6 +21,7 @@ void StockHadoopScheduler::on_job_start(mr::DriverContext& ctx) {
   pending_count_ = layout.blocks.size();
   global_cursor_ = 0;
   remote_wait_since_.assign(ctx.num_nodes(), -1.0);
+  late_ = {};
   // Under rs(k,m) striping a holder owns one *part*, not the block: no
   // node is fully local, so every holder routes to the partial tier (1b)
   // and the full-local lists stay empty. Replication keeps the old lists
@@ -148,68 +149,86 @@ std::optional<mr::MapLaunch> StockHadoopScheduler::launch_pending_block(
   return std::nullopt;
 }
 
-std::optional<mr::MapLaunch> StockHadoopScheduler::late_speculate(
-    mr::DriverContext& ctx, NodeId node) {
-  // LATE's candidate build walks every running map per offer — with the
-  // snapshot above it is the stock scheduler's O(nodes) control term.
-  FLEXMR_PROF_SCOPE("sched/late_speculate");
+void StockHadoopScheduler::build_late_candidates(mr::DriverContext& ctx) {
   const auto running = ctx.running_maps();
-
-  // SpeculativeCap: bound concurrent speculative copies.
-  const auto cap = static_cast<std::size_t>(std::ceil(
-      options_.late.speculative_cap * ctx.total_slots()));
-  std::size_t speculating = 0;
-  for (const auto& info : running) {
-    if (info.speculative) ++speculating;
-  }
-  if (speculating >= cap) return std::nullopt;
-
-  // SlowNodeThreshold: no backups on nodes that look slow themselves.
-  std::vector<double> node_speeds;
-  for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
-    if (const auto ips = ctx.observed_ips(n)) node_speeds.push_back(*ips);
-  }
-  if (const auto own = ctx.observed_ips(node); own && !node_speeds.empty()) {
-    std::vector<double> sorted = node_speeds;
-    std::sort(sorted.begin(), sorted.end());
-    const auto idx = static_cast<std::size_t>(
-        options_.late.slow_node_percentile *
-        static_cast<double>(sorted.size() - 1));
-    if (*own < sorted[idx]) return std::nullopt;
-  }
-
-  // Candidates: running, old enough, unfinished enough, not yet backed up.
   const SimTime now = ctx.now();
-  struct Candidate {
-    TaskId id;
-    double rate;
-    double time_left;
-  };
-  std::vector<Candidate> candidates;
-  std::vector<double> rates;
+  late_.speculating = 0;
+  late_.candidates.clear();
+  // Candidates: running, old enough, unfinished enough, not yet backed up.
   for (const auto& info : running) {
+    if (info.speculative) ++late_.speculating;
     if (!info.computing || info.speculative || info.has_twin) continue;
     const SimDuration elapsed = now - info.dispatch_time;
     if (elapsed < options_.late.min_runtime_s) continue;
     if (info.progress >= options_.late.max_progress) continue;
-    if (info.node == node) continue;  // a copy next to the original is useless
     const double rate = info.progress / elapsed;
     if (rate <= 0) continue;
-    candidates.push_back({info.id, rate, (1.0 - info.progress) / rate});
-    rates.push_back(rate);
+    late_.candidates.push_back(
+        {info.id, info.node, rate, (1.0 - info.progress) / rate});
   }
-  if (candidates.empty()) return std::nullopt;
+}
 
-  // SlowTaskThreshold: only tasks in the slow tail of progress rates.
-  std::sort(rates.begin(), rates.end());
+std::optional<mr::MapLaunch> StockHadoopScheduler::late_speculate(
+    mr::DriverContext& ctx, NodeId node) {
+  // The candidate list is rebuilt once per (now, map version) and the node
+  // threshold once per cluster-view version; what is left per offer is a
+  // pass over the candidates off the offered node.
+  FLEXMR_PROF_SCOPE("sched/late_speculate");
+  const SimTime now = ctx.now();
+  const std::uint64_t maps = ctx.map_state_version();
+  if (maps == 0 || maps != late_.map_version || now != late_.now) {
+    build_late_candidates(ctx);
+    late_.map_version = maps;
+    late_.now = now;
+  }
+
+  // SpeculativeCap: bound concurrent speculative copies.
+  const auto cap = static_cast<std::size_t>(std::ceil(
+      options_.late.speculative_cap * ctx.total_slots()));
+  if (late_.speculating >= cap) return std::nullopt;
+
+  // SlowNodeThreshold: no backups on nodes that look slow themselves.
+  const std::uint64_t view = ctx.cluster_view_version();
+  if (view == 0 || view != late_.view_version) {
+    std::vector<double> node_speeds;
+    for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
+      if (const auto ips = ctx.observed_ips(n)) node_speeds.push_back(*ips);
+    }
+    late_.slow_node_ips.reset();
+    if (!node_speeds.empty()) {
+      std::sort(node_speeds.begin(), node_speeds.end());
+      late_.slow_node_ips = node_speeds[static_cast<std::size_t>(
+          options_.late.slow_node_percentile *
+          static_cast<double>(node_speeds.size() - 1))];
+    }
+    late_.view_version = view;
+  }
+  if (const auto own = ctx.observed_ips(node);
+      own && late_.slow_node_ips && *own < *late_.slow_node_ips) {
+    return std::nullopt;
+  }
+
+  // SlowTaskThreshold: only tasks in the slow tail of progress rates. A
+  // copy next to the original is useless, so the offered node's own
+  // candidates drop out of both the percentile and the pick.
+  auto& rates = late_.rates;
+  rates.clear();
+  for (const auto& candidate : late_.candidates) {
+    if (candidate.node != node) rates.push_back(candidate.rate);
+  }
+  if (rates.empty()) return std::nullopt;
   const auto rate_idx = static_cast<std::size_t>(
       options_.late.slow_task_percentile *
       static_cast<double>(rates.size() - 1));
+  std::nth_element(rates.begin(),
+                   rates.begin() + static_cast<std::ptrdiff_t>(rate_idx),
+                   rates.end());
   const double slow_rate = rates[rate_idx];
 
-  const Candidate* best = nullptr;
-  for (const auto& candidate : candidates) {
-    if (candidate.rate > slow_rate) continue;
+  // The strict `>` keeps the first maximum in snapshot order.
+  const LateCandidate* best = nullptr;
+  for (const auto& candidate : late_.candidates) {
+    if (candidate.node == node || candidate.rate > slow_rate) continue;
     if (!best || candidate.time_left > best->time_left) best = &candidate;
   }
   if (!best) return std::nullopt;

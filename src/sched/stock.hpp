@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mr/scheduler.hpp"
@@ -107,7 +108,34 @@ class StockHadoopScheduler : public mr::Scheduler {
   void repend_reclaimed(mr::DriverContext& ctx,
                         const std::vector<BlockUnitId>& reclaimed);
 
+  /// Rebuilds late_'s per-(now, map version) part from one snapshot.
+  void build_late_candidates(mr::DriverContext& ctx);
+
+  /// What LATE derives from the driver, cached on the context's state
+  /// versions: an offer sweep at one instant builds it once instead of
+  /// once per offer. A version of 0 (untracked) rebuilds on every call.
+  struct LateCandidate {
+    TaskId id;
+    NodeId node;
+    double rate;
+    double time_left;
+  };
+  struct LateCache {
+    /// SlowNodeThreshold, per cluster-view version; nullopt while no
+    /// node has reported.
+    std::uint64_t view_version = 0;
+    std::optional<MiBps> slow_node_ips;
+    /// Per (now, map version), in snapshot order: every candidate
+    /// regardless of the offered node, which each offer filters out.
+    SimTime now = 0;
+    std::uint64_t map_version = 0;
+    std::size_t speculating = 0;  ///< Running speculative copies.
+    std::vector<LateCandidate> candidates;
+    std::vector<double> rates;  ///< Per-offer scratch.
+  };
+
   StockOptions options_;
+  LateCache late_;
   std::vector<char> block_launched_;
   std::vector<std::vector<std::uint32_t>> node_local_blocks_;
   /// rs(k,m) only: blocks with a part on the node (empty lists under

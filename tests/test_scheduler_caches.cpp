@@ -1,0 +1,392 @@
+// The schedulers' per-offer caches: LATE's candidates and slow-node
+// threshold, SkewTune's straggler and FlexMap's capacity sums are keyed on
+// the driver's state versions (DriverContext::map_state_version and
+// cluster_view_version). A context that reports both versions as 0 ("not
+// tracked") puts every policy on its uncached path. These tests run the
+// same jobs both ways and require byte-identical results, and they pin how
+// many running-map snapshots the cached path builds on bench_scale's
+// 256-node grid.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "bench/scale_grid.hpp"
+#include "common/rng.hpp"
+#include "mr/result_json.hpp"
+#include "tests/golden_cases.hpp"
+
+namespace flexmr {
+namespace {
+
+using faults::FaultPlan;
+using faults::NodeCrash;
+using workloads::InputScale;
+using workloads::SchedulerKind;
+
+/// The DriverContext a wrapped policy sees: every accessor forwards to the
+/// real driver, bound per callback. Unless `forward_versions` is set it
+/// reports both state versions as 0. Counts running_maps() calls.
+class ForwardingContext final : public mr::DriverContext {
+ public:
+  explicit ForwardingContext(bool forward_versions)
+      : forward_versions_(forward_versions) {}
+
+  mr::DriverContext& bind(mr::DriverContext& inner) {
+    inner_ = &inner;
+    return *this;
+  }
+
+  mutable std::uint64_t running_maps_calls = 0;
+
+  SimTime now() const override { return inner_->now(); }
+  const mr::JobSpec& job() const override { return inner_->job(); }
+  const mr::SimParams& params() const override { return inner_->params(); }
+  const hdfs::FileLayout& layout() const override { return inner_->layout(); }
+  hdfs::BlockLocationIndex& index() override { return inner_->index(); }
+  std::uint32_t num_nodes() const override { return inner_->num_nodes(); }
+  const cluster::MachineSpec& machine_spec(NodeId node) const override {
+    return inner_->machine_spec(node);
+  }
+  std::uint32_t free_slots(NodeId node) const override {
+    return inner_->free_slots(node);
+  }
+  std::uint32_t total_free_slots() const override {
+    return inner_->total_free_slots();
+  }
+  std::uint32_t total_slots() const override { return inner_->total_slots(); }
+  std::vector<mr::RunningMapInfo> running_maps() const override {
+    ++running_maps_calls;
+    return inner_->running_maps();
+  }
+  std::uint64_t map_state_version() const override {
+    return forward_versions_ ? inner_->map_state_version() : 0;
+  }
+  std::uint64_t cluster_view_version() const override {
+    return forward_versions_ ? inner_->cluster_view_version() : 0;
+  }
+  std::optional<MiBps> observed_ips(NodeId node) const override {
+    return inner_->observed_ips(node);
+  }
+  double map_phase_progress() const override {
+    return inner_->map_phase_progress();
+  }
+  std::size_t total_bus() const override { return inner_->total_bus(); }
+  std::size_t processed_bus() const override {
+    return inner_->processed_bus();
+  }
+  std::size_t unassigned_bus() const override {
+    return inner_->unassigned_bus();
+  }
+  std::uint32_t total_reducers() const override {
+    return inner_->total_reducers();
+  }
+  MiB next_reducer_input() const override {
+    return inner_->next_reducer_input();
+  }
+  MiB mean_reducer_input() const override {
+    return inner_->mean_reducer_input();
+  }
+  bool node_alive(NodeId node) const override {
+    return inner_->node_alive(node);
+  }
+  bool node_blacklisted(NodeId node) const override {
+    return inner_->node_blacklisted(node);
+  }
+  bool block_readable(std::uint32_t block) const override {
+    return inner_->block_readable(block);
+  }
+  obs::EventTracer* tracer() const override { return inner_->tracer(); }
+  recover::JobJournal* journal() const override { return inner_->journal(); }
+  std::vector<BlockUnitId> kill_and_reclaim(TaskId task) override {
+    return inner_->kill_and_reclaim(task);
+  }
+
+ private:
+  bool forward_versions_;
+  mr::DriverContext* inner_ = nullptr;
+};
+
+/// Forwards every Scheduler callback to `inner` through a
+/// ForwardingContext. Also counts reduce offers whose next reducer is
+/// large enough for FlexMap's size guard to judge it.
+class ForwardingScheduler final : public mr::Scheduler {
+ public:
+  ForwardingScheduler(std::unique_ptr<mr::Scheduler> inner,
+                      bool forward_versions)
+      : inner_(std::move(inner)), ctx_(forward_versions) {}
+
+  const ForwardingContext& context() const { return ctx_; }
+  std::uint64_t heavy_reducer_offers = 0;
+
+  std::string name() const override { return inner_->name(); }
+  void on_job_start(mr::DriverContext& ctx) override {
+    inner_->on_job_start(ctx_.bind(ctx));
+  }
+  void on_recovery(mr::DriverContext& ctx,
+                   const recover::RecoveredState& recovered) override {
+    inner_->on_recovery(ctx_.bind(ctx), recovered);
+  }
+  std::optional<mr::MapLaunch> on_slot_free(mr::DriverContext& ctx,
+                                            NodeId node) override {
+    return inner_->on_slot_free(ctx_.bind(ctx), node);
+  }
+  void on_map_dispatch(mr::DriverContext& ctx, TaskId task,
+                       NodeId node) override {
+    inner_->on_map_dispatch(ctx_.bind(ctx), task, node);
+  }
+  void on_map_complete(mr::DriverContext& ctx,
+                       const mr::TaskRecord& rec) override {
+    inner_->on_map_complete(ctx_.bind(ctx), rec);
+  }
+  void on_heartbeat(mr::DriverContext& ctx, NodeId node) override {
+    inner_->on_heartbeat(ctx_.bind(ctx), node);
+  }
+  void on_node_failed(mr::DriverContext& ctx, NodeId node,
+                      const std::vector<BlockUnitId>& reclaimed) override {
+    inner_->on_node_failed(ctx_.bind(ctx), node, reclaimed);
+  }
+  void on_attempt_failed(mr::DriverContext& ctx, NodeId node,
+                         const std::vector<BlockUnitId>& reclaimed) override {
+    inner_->on_attempt_failed(ctx_.bind(ctx), node, reclaimed);
+  }
+  void on_node_recovered(mr::DriverContext& ctx, NodeId node) override {
+    inner_->on_node_recovered(ctx_.bind(ctx), node);
+  }
+  void on_block_rehosted(mr::DriverContext& ctx, std::uint32_t block,
+                         NodeId node) override {
+    inner_->on_block_rehosted(ctx_.bind(ctx), block, node);
+  }
+  bool accept_reducer(mr::DriverContext& ctx, NodeId node) override {
+    const MiB mean = ctx.mean_reducer_input();
+    if (mean > 0.0 && ctx.next_reducer_input() > 1.5 * mean) {
+      ++heavy_reducer_offers;
+    }
+    return inner_->accept_reducer(ctx_.bind(ctx), node);
+  }
+
+ private:
+  std::unique_ptr<mr::Scheduler> inner_;
+  ForwardingContext ctx_;
+};
+
+constexpr SchedulerKind kSchedulers[] = {
+    SchedulerKind::kHadoop, SchedulerKind::kHadoopNoSpec,
+    SchedulerKind::kSkewTune, SchedulerKind::kFlexMap};
+
+/// One golden-configuration run (the paper's 20-node virtual cluster, WC,
+/// seed 1234) through an uncached ForwardingScheduler.
+std::string run_uncached(SchedulerKind kind, MiB block_size,
+                         const FaultPlan& plan) {
+  auto cluster = cluster::presets::virtual20();
+  workloads::RunConfig config;
+  config.block_size = block_size;
+  config.params.seed = 1234;
+  config.faults = plan;
+  ForwardingScheduler scheduler(workloads::make_scheduler(kind, 1234),
+                                /*forward_versions=*/false);
+  auto result =
+      workloads::run_job(cluster, workloads::benchmark("WC"),
+                         InputScale::kSmall, scheduler, config);
+  result.scheduler = workloads::scheduler_label(kind);
+  return mr::job_result_json(result, cluster);
+}
+
+TEST(SchedulerCaches, UncachedPathReproducesEveryGolden) {
+  for (const auto& c : golden::kCases) {
+    EXPECT_EQ(golden::fnv1a(run_uncached(c.kind, c.block_size, {})),
+              c.expected)
+        << c.label;
+  }
+  for (const auto& c : golden::kFaultCases) {
+    EXPECT_EQ(golden::fnv1a(run_uncached(c.kind, c.block_size,
+                                         golden::golden_fault_plan())),
+              c.expected)
+        << c.label;
+  }
+  FaultPlan am_crash;
+  am_crash.am_crashes = {40.0};
+  EXPECT_EQ(golden::fnv1a(run_uncached(SchedulerKind::kHadoop,
+                                       kDefaultBlockMiB, am_crash)),
+            golden::kMidMapAmCrashGolden);
+}
+
+TEST(SchedulerCaches, AmRestartReadsNoPredecessorCache) {
+  // The successor AM's driver counts its versions from 1 again; every
+  // policy must drop what it cached about the crashed attempt.
+  FaultPlan plan = golden::golden_fault_plan();
+  plan.am_crashes = {40.0, 110.0};
+  plan.am_max_attempts = 3;
+  plan.max_attempts = 8;
+  for (const SchedulerKind kind : kSchedulers) {
+    auto cluster = cluster::presets::virtual20();
+    workloads::RunConfig config;
+    config.params.seed = 1234;
+    config.faults = plan;
+    auto cached = workloads::run_job(cluster, workloads::benchmark("WC"),
+                                     InputScale::kSmall, kind, config);
+    EXPECT_EQ(cached.am_restarts, 2u) << workloads::scheduler_label(kind);
+    EXPECT_EQ(mr::job_result_json(cached, cluster),
+              run_uncached(kind, kDefaultBlockMiB, plan))
+        << workloads::scheduler_label(kind);
+  }
+}
+
+/// One seeded fault run on a 12-node mixed cluster, cut at 5000
+/// simulated seconds; aborted and stalled runs would compare too.
+struct SweepCase {
+  SchedulerKind kind;
+  std::uint64_t seed;
+  FaultPlan plan;
+  hdfs::StoragePolicy storage;
+  workloads::Benchmark bench;
+};
+
+struct SweepRun {
+  std::string json;
+  std::uint64_t heavy_reducer_offers = 0;
+};
+
+SweepRun run_sweep_case(const SweepCase& c, bool forward_versions) {
+  // Slow nodes first: they are offered first, so heavy reducers reach
+  // them while their quota lasts.
+  auto cluster = cluster::ClusterBuilder()
+                     .add({.model = "slow", .base_ips = 4.0, .slots = 4}, 4)
+                     .add({.model = "mid", .base_ips = 11.0, .slots = 4}, 5)
+                     .add({.model = "fast", .base_ips = 14.0, .slots = 4}, 3)
+                     .build();
+  const auto layout = workloads::make_layout(
+      c.bench, InputScale::kSmall, cluster.num_nodes(), kDefaultBlockMiB, 3,
+      c.seed, c.storage);
+  const auto spec = workloads::to_job_spec(c.bench, InputScale::kSmall);
+  ForwardingScheduler scheduler(workloads::make_scheduler(c.kind, c.seed),
+                                forward_versions);
+  Simulator sim;
+  mr::SimParams params;
+  params.seed = c.seed;
+  mr::JobDriver driver(sim, cluster, layout, spec, params, scheduler);
+  driver.install_faults(c.plan);
+  driver.start();
+  while (!driver.done() && sim.now() < 5000.0 && sim.step()) {
+  }
+  return {mr::job_result_json(driver.result(), cluster),
+          scheduler.heavy_reducer_offers};
+}
+
+/// 1–3 silent crashes between 20 and 120 s, each rejoining 30–90 s later,
+/// plus launch, attempt and fetch failures.
+FaultPlan sweep_plan(std::uint64_t seed, std::uint32_t nodes) {
+  FaultPlan plan;
+  Rng rng(seed);
+  const auto crashes = 1 + rng() % 3;
+  for (std::uint64_t i = 0; i < crashes; ++i) {
+    const SimTime at = 20.0 + 100.0 * rng.uniform();
+    NodeId node = 0;
+    do {
+      node = static_cast<NodeId>(rng() % nodes);
+    } while (std::any_of(plan.crashes.begin(), plan.crashes.end(),
+                         [node](const NodeCrash& c) { return c.node == node; }));
+    plan.crashes.push_back(
+        NodeCrash{node, at, at + 30.0 + 60.0 * rng.uniform(), true});
+  }
+  plan.container_launch_failure_prob = 0.02;
+  plan.attempt_failure_prob = 0.02;
+  plan.fetch_failure_prob = 0.01;
+  plan.max_attempts = 8;
+  return plan;
+}
+
+workloads::Benchmark sweep_bench(MiB input, double key_skew) {
+  auto bench = workloads::benchmark("WC");
+  bench.small_input = input;
+  bench.shuffle_ratio = 0.5;
+  bench.reduce_key_skew = key_skew;
+  return bench;
+}
+
+void expect_same_bytes(const SweepCase& c, const std::string& what) {
+  const SweepRun cached = run_sweep_case(c, true);
+  const SweepRun uncached = run_sweep_case(c, false);
+  EXPECT_EQ(cached.json, uncached.json)
+      << what << ": " << workloads::scheduler_label(c.kind) << " seed "
+      << c.seed;
+}
+
+TEST(SchedulerCaches, SeededFaultSweepIsByteIdenticalUncached) {
+  for (const SchedulerKind kind : kSchedulers) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      expect_same_bytes({kind, seed, sweep_plan(seed, 12), {},
+                         sweep_bench(16384.0, 0.0)},
+                        "replicated");
+    }
+  }
+}
+
+TEST(SchedulerCaches, ErasureDiskFaultIsByteIdenticalUncached) {
+  for (const SchedulerKind kind : kSchedulers) {
+    FaultPlan plan = sweep_plan(7, 12);
+    plan.disk_faults = {faults::DiskFault{5, 1, 35.0}};
+    expect_same_bytes({kind, 7, plan, hdfs::StoragePolicy::rs(6, 3),
+                       sweep_bench(16384.0, 0.0)},
+                      "rs(6,3) with a disk fault");
+  }
+}
+
+TEST(SchedulerCaches, FlexMapSizeGuardIsByteIdenticalUncached) {
+  // A steep key skew makes the head reducers several times the mean, so
+  // FlexMap's size guard judges them against the cached max share.
+  const SweepCase c{SchedulerKind::kFlexMap, 3, sweep_plan(3, 12), {},
+                    sweep_bench(16384.0, 1.2)};
+  const SweepRun cached = run_sweep_case(c, true);
+  const SweepRun uncached = run_sweep_case(c, false);
+  EXPECT_GT(cached.heavy_reducer_offers, 0u);
+  EXPECT_EQ(cached.heavy_reducer_offers, uncached.heavy_reducer_offers);
+  EXPECT_EQ(cached.json, uncached.json);
+}
+
+/// One bench_scale job at 256 nodes × 25 tasks/node (seed 42).
+struct ScaleRun {
+  std::string json;
+  std::uint64_t snapshots = 0;  ///< running_maps() calls.
+};
+
+ScaleRun run_scale_grid(SchedulerKind kind, bool forward_versions) {
+  auto cluster = bench::make_scale_cluster(256);
+  workloads::RunConfig config;
+  config.params.seed = 42;
+  ForwardingScheduler scheduler(workloads::make_scheduler(kind, 42),
+                                forward_versions);
+  const auto result =
+      workloads::run_job(cluster, bench::make_scale_benchmark(256, 25),
+                         InputScale::kSmall, scheduler, config);
+  return {mr::job_result_json(result, cluster),
+          scheduler.context().running_maps_calls};
+}
+
+TEST(SchedulerCaches, SnapshotCountsAtScaleGridArePinned) {
+  // Deterministic work, not host time. Uncached, LATE and SkewTune build
+  // one snapshot per offer that reaches their kernel, as both did before
+  // the caches existed; cached, at most one per (now, map version).
+  // FlexMap's sizing needs none.
+  const struct {
+    SchedulerKind kind;
+    std::uint64_t uncached;
+    std::uint64_t cached_bound;
+  } kPins[] = {{SchedulerKind::kHadoop, 2443, 1146},
+               {SchedulerKind::kSkewTune, 6375, 1419},
+               {SchedulerKind::kFlexMap, 0, 0}};
+  for (const auto& pin : kPins) {
+    const std::string label = workloads::scheduler_label(pin.kind);
+    const ScaleRun cached = run_scale_grid(pin.kind, true);
+    const ScaleRun uncached = run_scale_grid(pin.kind, false);
+    EXPECT_EQ(cached.json, uncached.json) << label;
+    EXPECT_EQ(uncached.snapshots, pin.uncached) << label;
+    EXPECT_LE(cached.snapshots, pin.cached_bound) << label;
+  }
+}
+
+}  // namespace
+}  // namespace flexmr

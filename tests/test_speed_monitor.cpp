@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <random>
 #include <vector>
@@ -152,6 +153,7 @@ TEST(SpeedMonitor, CachedExtremaMatchScanReferenceUnderRandomOps) {
 
   for (int round = 0; round < 5000; ++round) {
     const NodeId node = pick_node(rng);
+    const std::uint64_t generation = monitor.generation();
     if (pick_op(rng) < 8) {
       const MiBps ips = 2.5 * pick_speed(rng);  // 0 is a legal reading
       monitor.update(node, ips);
@@ -160,6 +162,9 @@ TEST(SpeedMonitor, CachedExtremaMatchScanReferenceUnderRandomOps) {
       monitor.forget(node);
       reference.forget(node);
     }
+    // Every update and forget moves the generation, even one that leaves
+    // the speeds as they were: callers key derived sums on it.
+    ASSERT_NE(monitor.generation(), generation) << "round " << round;
     ASSERT_EQ(monitor.slowest(), reference.slowest()) << "round " << round;
     ASSERT_EQ(monitor.fastest(), reference.fastest()) << "round " << round;
     ASSERT_EQ(monitor.known_nodes(), reference.known_nodes())
