@@ -10,6 +10,7 @@
 #include "bench/bench_common.hpp"
 #include "cluster/presets.hpp"
 #include "flexmap/oracle.hpp"
+#include "recover/runner.hpp"
 
 namespace flexmr::bench {
 namespace {
@@ -75,9 +76,9 @@ void bu_granularity(BenchArtifact& artifact) {
                                          config.block_size,
                                          config.replication, bu);
       auto spec = workloads::to_job_spec(bench, workloads::InputScale::kSmall);
-      mr::JobDriver driver(sim, cluster, layout, spec, config.params,
-                           *scheduler);
-      const auto result = driver.run();
+      recover::RecoveryRunner runner(sim, cluster, layout, spec,
+                                     config.params, *scheduler, config.faults);
+      const auto result = runner.run();
       jct.add(result.jct());
       eff.add(result.efficiency());
     }

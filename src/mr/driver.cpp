@@ -192,29 +192,6 @@ void JobDriver::start() {
   sim_->schedule_after(params_.heartbeat_period_s, [this]() { heartbeat(); });
 }
 
-JobResult JobDriver::run() {
-  FLEXMR_ASSERT_MSG(owned_rm_ != nullptr,
-                    "run() is for single-job mode; with a shared RM use "
-                    "start() and step the simulator yourself");
-  start();
-  while (!done_) {
-    if (!sim_->step()) {
-      throw InvariantError("simulation ran dry before job completion");
-    }
-    // Pull-based sampling: the registry emits rows for cadence ticks the
-    // simulator just crossed. Never schedules events, so the event-queue
-    // counters in the golden hashes stay identical with tracing on/off.
-    if (trace_ != nullptr) trace_->metrics().maybe_sample(sim_->now());
-  }
-  if (result_.aborted) {
-    if (!result_.lost_blocks.empty()) {
-      throw DataLossError(result_.abort_reason, result_);
-    }
-    throw JobAbortedError(result_.abort_reason, result_);
-  }
-  return result_;
-}
-
 // ---------------------------------------------------------------------------
 // Map phase
 // ---------------------------------------------------------------------------
@@ -1153,7 +1130,7 @@ void JobDriver::heartbeat() {
 // ---------------------------------------------------------------------------
 
 void JobDriver::install_faults(faults::FaultPlan plan) {
-  FLEXMR_ASSERT_MSG(!started_, "install faults before run()");
+  FLEXMR_ASSERT_MSG(!started_, "install faults before start()");
   FLEXMR_ASSERT_MSG(owned_rm_ != nullptr,
                     "install_faults is for single-job mode (a shared-RM "
                     "coordinator owns cluster-level fault state)");
@@ -1250,15 +1227,23 @@ std::unique_ptr<JobDriver> JobDriver::successor(yarn::ResourceManager& rm) {
 void JobDriver::restore_from_journal() {
   const recover::RecoveredState& rec = *recovered_;
 
-  // Replicas grown beyond the static layout by earlier attempts' re-
-  // replication join the fresh index first (before any dead node is
-  // deactivated, so a later rejoin's recount sees them too, and before
-  // any BU is taken).
+  // The fresh index catches up with the NameNode view before any dead node
+  // is deactivated (so a later rejoin's recount sees it) and before any BU
+  // is taken: static holders it no longer remembers lost their copy to a
+  // disk and are dropped (a repair landing there re-arms them), and
+  // replicas grown by re-replication join.
   if (replica_mgr_) {
     for (std::uint32_t b = 0;
          b < static_cast<std::uint32_t>(layout_->blocks.size()); ++b) {
       const hdfs::Block& block = layout_->blocks[b];
-      for (const NodeId holder : replica_mgr_->remembered_holders(b)) {
+      const std::vector<NodeId>& holders = replica_mgr_->remembered_holders(b);
+      for (const NodeId holder : block.replicas) {
+        if (std::find(holders.begin(), holders.end(), holder) ==
+            holders.end()) {
+          index_.drop_replica(block, holder);
+        }
+      }
+      for (const NodeId holder : holders) {
         if (std::find(block.replicas.begin(), block.replicas.end(),
                       holder) == block.replicas.end()) {
           index_.add_replica(block, holder);
@@ -1491,12 +1476,18 @@ void JobDriver::lose_map_output(MapTask& task,
   intermediate_on_node_[task.node] =
       std::max(0.0, intermediate_on_node_[task.node] -
                         task.size * job_.shuffle_ratio);
-  // Re-label the task's record: its work no longer counts.
-  for (auto it = result_.tasks.rbegin(); it != result_.tasks.rend(); ++it) {
-    if (it->id == task.id && it->kind == TaskKind::kMap) {
-      it->status = TaskStatus::kLostOutput;
-      it->num_bus = 0;
-      break;
+  if (recovered_ && task.id < recovered_->committed_maps.size()) {
+    // A replayed commit: its record is in an earlier attempt's result, and
+    // its synthetic id is its position in commit order.
+    result_.voided_replays.push_back(task.id);
+  } else {
+    // Re-label the task's record: its work no longer counts.
+    for (auto it = result_.tasks.rbegin(); it != result_.tasks.rend(); ++it) {
+      if (it->id == task.id && it->kind == TaskKind::kMap) {
+        it->status = TaskStatus::kLostOutput;
+        it->num_bus = 0;
+        break;
+      }
     }
   }
   task.bus.clear();
@@ -1863,12 +1854,8 @@ double JobDriver::map_phase_progress() const {
 // Tracing (opt-in; every helper is a no-op when no session is installed)
 // ---------------------------------------------------------------------------
 
-void JobDriver::set_trace(obs::TraceSession* trace) {
-  set_trace(trace, TraceNamespace{});
-}
-
 void JobDriver::set_trace(obs::TraceSession* trace, TraceNamespace ns) {
-  FLEXMR_ASSERT_MSG(!started_, "install tracing before run()");
+  FLEXMR_ASSERT_MSG(!started_, "install tracing before start()");
   trace_ = trace;
   trace_ns_ = std::move(ns);
 }

@@ -64,16 +64,15 @@ struct TraceNamespace {
 class JobDriver final : public DriverContext {
  public:
   /// Single-job form: the driver owns a ResourceManager over the whole
-  /// cluster, arms the interference models, and drives the simulator
-  /// itself (via run()).
+  /// cluster and arms the interference models (recover::RecoveryRunner
+  /// runs it).
   JobDriver(Simulator& sim, cluster::Cluster& cluster,
             const hdfs::FileLayout& layout, JobSpec job, SimParams params,
             Scheduler& scheduler);
 
   /// Shared-cluster form (used by MultiJobCoordinator): container offers
   /// arrive through `shared_rm`, whose offer handler and the cluster's
-  /// interference arming belong to the coordinator. Use start()/done(),
-  /// not run().
+  /// interference arming belong to the coordinator.
   JobDriver(Simulator& sim, cluster::Cluster& cluster,
             const hdfs::FileLayout& layout, JobSpec job, SimParams params,
             Scheduler& scheduler, yarn::ResourceManager& shared_rm);
@@ -83,12 +82,8 @@ class JobDriver final : public DriverContext {
   /// finished job), and a stale [this] callback is a use-after-free.
   ~JobDriver();
 
-  /// Runs the job to completion and returns its metrics. One-shot.
-  /// Only valid in the single-job form.
-  JobResult run();
-
   /// Registers the job (heartbeats, failures, initial offers) without
-  /// stepping the simulator. The owner steps until done().
+  /// stepping the simulator. The owner steps until done(). One-shot.
   void start();
   bool done() const { return done_; }
   const JobResult& result() const { return result_; }
@@ -124,7 +119,7 @@ class JobDriver final : public DriverContext {
   /// Installs the run's declarative fault plan (crashes with optional
   /// rejoin, silent death with heartbeat-expiry detection, degradation
   /// windows, per-attempt transient/launch failures, retry/blacklist
-  /// knobs). Must be called before run(); single-job mode only. The plan
+  /// knobs). Must be called before start(); single-job mode only. The plan
   /// is validated (ConfigError) at start(). When a crash is detected the
   /// node's containers are killed, its slots withdrawn, and the *input*
   /// of every map whose output lived on the node is re-executed elsewhere
@@ -132,13 +127,13 @@ class JobDriver final : public DriverContext {
   /// still need the lost outputs stall until they are regenerated.
   void install_faults(faults::FaultPlan plan);
 
-  // ---- AM crash + journaled recovery (recover::RecoveryRunner) ----------
+  // ---- AM crash + journaled recovery (mr::AmAttemptChain) ---------------
 
   /// Arms journaled recovery: the driver appends to `journal` at every
   /// commit point (map/reduce commits, output losses, attempt-failure
   /// charges) and snapshots it on the heartbeat cadence. Required
   /// (ConfigError at start()) when the installed plan has AM faults — the
-  /// recovery runner owns the journal and the restart loop. Must be set
+  /// job's AmAttemptChain owns the journal and the restarts. Must be set
   /// before start(). Null journal + no AM faults keeps every commit site
   /// on a pointer-test fast path (byte-identical runs).
   void set_journal(recover::JobJournal* journal);
@@ -166,19 +161,17 @@ class JobDriver final : public DriverContext {
   /// crash_am().
   std::unique_ptr<JobDriver> successor(yarn::ResourceManager& rm);
 
-  /// The RM this driver allocates from; the recovery runner re-points a
-  /// surviving single-job RM's offer handler at each new attempt.
+  /// The RM this driver allocates from: attempt 1's serves every
+  /// successor, and the recovery runner routes its offers to the live
+  /// attempt.
   yarn::ResourceManager& resource_manager() { return rm_; }
 
   /// Opt-in tracing: spans/instants for every task lifecycle plus a
   /// metrics time series sampled from the run loop. Must be installed
   /// before start(); the session must outlive the driver's run (its
   /// gauges read driver state at sample time). Null (the default) keeps
-  /// every instrumentation site on a pointer-test fast path.
-  void set_trace(obs::TraceSession* trace);
-
-  /// Shared-session form: same as set_trace(trace) but records under the
-  /// given per-job namespace so several jobs merge into one document.
+  /// every instrumentation site on a pointer-test fast path. Records
+  /// under `ns`, so several jobs can merge into one document.
   void set_trace(obs::TraceSession* trace, TraceNamespace ns);
 
   /// The counters a traced driver bumps (null until tracing starts).

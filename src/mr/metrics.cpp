@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/error.hpp"
+
 namespace flexmr::mr {
 
 const char* to_string(TaskKind kind) {
@@ -99,14 +101,32 @@ JobResult merge_attempts(const std::vector<const JobResult*>& earlier,
     std::vector<TaskRecord> tasks;
     std::vector<faults::FaultEvent> events;
     std::vector<AmAttemptRecord> records;
+    const auto append_tasks = [&tasks](const JobResult& r) {
+      if (!r.voided_replays.empty()) {
+        std::vector<std::size_t> commits;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+          if (tasks[i].kind == TaskKind::kMap && tasks[i].credited()) {
+            commits.push_back(i);
+          }
+        }
+        for (const TaskId position : r.voided_replays) {
+          FLEXMR_ASSERT(position < commits.size());
+          TaskRecord& voided = tasks[commits[position]];
+          voided.status = TaskStatus::kLostOutput;
+          voided.num_bus = 0;
+        }
+      }
+      tasks.insert(tasks.end(), r.tasks.begin(), r.tasks.end());
+    };
     for (const JobResult* r : earlier) {
-      tasks.insert(tasks.end(), r->tasks.begin(), r->tasks.end());
+      append_tasks(*r);
       events.insert(events.end(), r->fault_events.begin(),
                     r->fault_events.end());
       records.insert(records.end(), r->am_attempts.begin(),
                      r->am_attempts.end());
     }
-    tasks.insert(tasks.end(), last.tasks.begin(), last.tasks.end());
+    append_tasks(last);
+    last.voided_replays.clear();
     events.insert(events.end(), last.fault_events.begin(),
                   last.fault_events.end());
     records.insert(records.end(), last.am_attempts.begin(),

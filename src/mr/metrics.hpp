@@ -150,6 +150,11 @@ struct JobResult {
 
   std::vector<TaskRecord> tasks;
 
+  /// Replayed commits a successor AM attempt voided by losing their
+  /// output, by position in commit order (their records are in earlier
+  /// attempts' results). merge_attempts relabels them; not serialised.
+  std::vector<TaskId> voided_replays;
+
   SimDuration jct() const { return finish_time - submit_time; }
   SimDuration map_phase_runtime() const {
     return map_phase_end - map_phase_start;
@@ -180,14 +185,18 @@ struct JobResult {
 /// Earlier attempts' task records and fault events come first; submit
 /// time and map-phase start come from attempt 1 and map-phase end is the
 /// latest of all attempts. Each crashed attempt's own crash record joins
-/// am_attempts, and their wasted work sums to the redone totals.
+/// am_attempts, and their wasted work sums to the redone totals. A
+/// successor's voided_replays relabel the earlier records they name
+/// kLostOutput: the credited map records of the attempts before it are,
+/// in order, the commits it replayed.
 JobResult merge_attempts(const std::vector<const JobResult*>& earlier,
                          JobResult last);
 
-/// Thrown by JobDriver::run when the job aborts instead of completing
-/// (a unit of work exceeded max_attempts, or every node died with no
-/// rejoin pending). Carries the partial JobResult so callers can still
-/// inspect the task records and fault timeline of the doomed run.
+/// Thrown by recover::RecoveryRunner::run when the job aborts instead of
+/// completing (a unit of work exceeded max_attempts, every node died with
+/// no rejoin pending, or the AM ran out of attempts). Carries the partial
+/// JobResult so callers can still inspect the task records and fault
+/// timeline of the doomed run.
 class JobAbortedError : public std::runtime_error {
  public:
   JobAbortedError(const std::string& reason, JobResult result)

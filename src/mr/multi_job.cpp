@@ -7,14 +7,6 @@
 
 namespace flexmr::mr {
 
-namespace {
-/// Trace-token spacing between a job's AM attempts: each attempt numbers
-/// its tasks from 0 again (reduce tokens at ~1'000'000), so successors
-/// record under disjoint sub-ranges of the job's kServiceTokenStride-wide
-/// token window (room for 10 attempts per job before windows would touch).
-constexpr std::uint64_t kAmAttemptTokenStride = 10'000'000ULL;
-}  // namespace
-
 const char* to_string(SharePolicy policy) {
   switch (policy) {
     case SharePolicy::kFifo:
@@ -44,8 +36,10 @@ std::size_t MultiJobCoordinator::submit(const hdfs::FileLayout& layout,
     throw ConfigError("job weight must be positive");
   }
   Entry entry;
-  entry.driver = std::make_unique<JobDriver>(
-      *sim_, *cluster_, layout, std::move(spec), params, scheduler, rm_);
+  entry.chain = std::make_unique<AmAttemptChain>(
+      *sim_, std::make_unique<JobDriver>(*sim_, *cluster_, layout,
+                                         std::move(spec), params, scheduler,
+                                         rm_));
   entry.submit_time = submit_time;
   entry.weight = weight;
   jobs_.push_back(std::move(entry));
@@ -71,15 +65,18 @@ void MultiJobCoordinator::schedule_node_failure(NodeId node, SimTime time) {
   failures_.emplace_back(node, time);
 }
 
-void MultiJobCoordinator::set_am_recovery(AmRecoveryConfig config) {
-  FLEXMR_ASSERT_MSG(!started_, "set_am_recovery before start");
-  if (config.max_attempts == 0) {
+void MultiJobCoordinator::set_am_recovery(AmBudget budget) {
+  // Every schedule_am_crash before start() queued into am_crashes_, and
+  // its job's chain took the budget then.
+  FLEXMR_ASSERT_MSG(!started_ && am_crashes_.empty(),
+                    "set_am_recovery before start and schedule_am_crash");
+  if (budget.max_attempts == 0) {
     throw ConfigError("AM max_attempts must be > 0");
   }
-  if (!(config.restart_delay_s >= 0)) {
+  if (!(budget.restart_delay_s >= 0)) {
     throw ConfigError("AM restart delay must be non-negative");
   }
-  am_recovery_ = config;
+  am_budget_ = budget;
 }
 
 void MultiJobCoordinator::schedule_am_crash(std::size_t job, SimTime time) {
@@ -90,18 +87,13 @@ void MultiJobCoordinator::schedule_am_crash(std::size_t job, SimTime time) {
   if (time < 0) {
     throw ConfigError("AM crash time must be non-negative");
   }
-  Entry& entry = jobs_[job];
-  if (!entry.journal) {
-    // The journal must be writing from the job's first commit on, so the
-    // first kill for a job has to beat the job's own start.
-    FLEXMR_ASSERT_MSG(!entry.started,
-                      "first schedule_am_crash must precede the job's start");
-    entry.journal = std::make_unique<recover::JobJournal>();
-    entry.driver->set_journal(entry.journal.get());
-  }
+  AmAttemptChain& chain = *jobs_[job].chain;
+  // The journal must be writing from the job's first commit on, so the
+  // first kill for a job has to beat the job's own start.
+  if (!chain.recoverable()) chain.enable_recovery(am_budget_);
   if (started_) {
     sim_->schedule_at(std::max(time, sim_->now()),
-                      [this, job]() { on_am_crash(job); });
+                      [&chain]() { chain.crash(); });
   } else {
     am_crashes_.emplace_back(job, time);
   }
@@ -139,7 +131,8 @@ void MultiJobCoordinator::start() {
     sim_->schedule_at(time, [this, node]() { on_node_failure(node); });
   }
   for (const auto& [job, time] : am_crashes_) {
-    sim_->schedule_at(time, [this, job]() { on_am_crash(job); });
+    AmAttemptChain& chain = *jobs_[job].chain;
+    sim_->schedule_at(time, [&chain]() { chain.crash(); });
   }
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     sim_->schedule_at(jobs_[j].submit_time, [this, j]() { start_job(j); });
@@ -151,17 +144,21 @@ void MultiJobCoordinator::start() {
 }
 
 void MultiJobCoordinator::start_job(std::size_t j) {
-  Entry& entry = jobs_[j];
-  FLEXMR_ASSERT(!entry.started);
-  entry.started = true;
+  AmAttemptChain& chain = *jobs_[j].chain;
   if (trace_ != nullptr) {
-    entry.driver->set_trace(trace_, trace_namespace(j, 1));
+    TraceNamespace ns;
+    ns.job_pid = obs::service_job_pid(j);
+    ns.token_base = static_cast<std::uint64_t>(j) * obs::kServiceTokenStride;
+    ns.label = "job " + std::to_string(j) + ": " + chain.driver().job().name;
+    // Service-level gauges live on the coordinator (see trace_setup).
+    ns.register_gauges = false;
+    chain.set_trace(trace_, std::move(ns));
   }
-  entry.driver->start();
+  chain.start();
   // A job admitted after a crash still has the dead node in its static
   // layout; inform it before any offer can try to place work there.
   for (const NodeId node : dead_nodes_) {
-    entry.driver->notify_node_failure(node);
+    chain.driver().notify_node_failure(node);
   }
 }
 
@@ -169,13 +166,13 @@ bool MultiJobCoordinator::handle_offer(NodeId node) {
   // Candidate jobs: started, unfinished — ordered by policy.
   std::vector<std::size_t> order;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    if (jobs_[j].started && !jobs_[j].driver->done()) order.push_back(j);
+    if (jobs_[j].chain->running()) order.push_back(j);
   }
   if (policy_ == SharePolicy::kFair) {
     std::stable_sort(order.begin(), order.end(),
                      [this](std::size_t a, std::size_t b) {
-                       return jobs_[a].driver->slots_in_use() <
-                              jobs_[b].driver->slots_in_use();
+                       return driver(a).slots_in_use() <
+                              driver(b).slots_in_use();
                      });
   } else if (policy_ == SharePolicy::kWeightedFair) {
     std::stable_sort(order.begin(), order.end(),
@@ -184,14 +181,13 @@ bool MultiJobCoordinator::handle_offer(NodeId node) {
                      });
   }
   for (const std::size_t j : order) {
-    if (jobs_[j].driver->offer(node)) return true;
+    if (driver(j).offer(node)) return true;
   }
   return false;
 }
 
 double MultiJobCoordinator::weighted_usage(std::size_t j) const {
-  return static_cast<double>(jobs_[j].driver->slots_in_use()) /
-         jobs_[j].weight;
+  return static_cast<double>(driver(j).slots_in_use()) / jobs_[j].weight;
 }
 
 void MultiJobCoordinator::on_node_failure(NodeId node) {
@@ -201,79 +197,11 @@ void MultiJobCoordinator::on_node_failure(NodeId node) {
   dead_nodes_.insert(node);
   if (!rm_.is_dead(node)) rm_.mark_dead(node);
   for (auto& entry : jobs_) {
-    if (entry.started && !entry.driver->done()) {
-      entry.driver->notify_node_failure(node);
-    }
+    if (entry.chain->running()) entry.chain->driver().notify_node_failure(node);
   }
   // One deferred re-offer for the whole cluster (drivers suppress theirs):
   // survivors pick up the reclaimed work in policy order.
   sim_->schedule_after(0.0, [this]() { rm_.offer_all(); });
-}
-
-void MultiJobCoordinator::on_am_crash(std::size_t j) {
-  Entry& entry = jobs_[j];
-  // Inert when the job is not live: not yet admitted, finished, already
-  // down awaiting restart, or aborted — a crash cannot hit an AM that is
-  // not running.
-  if (!entry.started || entry.recovering || entry.driver->done()) return;
-  entry.driver->crash_am();
-  if (entry.driver->am_attempt() >= am_recovery_.max_attempts) {
-    // Stays done() with recovering false, so job_finished() reports it and
-    // result(j) carries the abort reason.
-    entry.am_aborted = true;
-    return;
-  }
-  entry.recovering = true;
-  sim_->schedule_after(am_recovery_.restart_delay_s,
-                       [this, j]() { restart_am(j); });
-}
-
-void MultiJobCoordinator::restart_am(std::size_t j) {
-  Entry& entry = jobs_[j];
-  std::unique_ptr<JobDriver> next = entry.driver->successor(rm_);
-  if (trace_ != nullptr) {
-    next->set_trace(trace_, trace_namespace(j, next->am_attempt()));
-  }
-  entry.retired.push_back(std::move(entry.driver));
-  entry.driver = std::move(next);
-  entry.recovering = false;
-  // The successor re-registers through the shared offer path (handle_offer
-  // reads entry.driver, so it picks the new attempt up immediately).
-  // dead_nodes_ need no re-notification: restore_from_journal reconciles
-  // every RM-dead node during start(), and with no injector they stay dead.
-  entry.driver->start();
-}
-
-JobResult MultiJobCoordinator::result(std::size_t job) const {
-  const Entry& entry = jobs_[job];
-  JobResult merged = entry.driver->result();
-  if (entry.retired.empty() && !entry.am_aborted) return merged;
-
-  if (entry.am_aborted) {
-    // crash_am leaves no abort record; the coordinator declared the job
-    // dead when the attempt budget ran out.
-    merged.aborted = true;
-    merged.abort_reason =
-        "AM crashed on attempt " +
-        std::to_string(entry.driver->am_attempt()) + " of " +
-        std::to_string(am_recovery_.max_attempts) +
-        " (am_max_attempts exhausted)";
-  }
-  std::vector<const JobResult*> earlier;
-  for (const auto& old : entry.retired) earlier.push_back(&old->result());
-  return merge_attempts(earlier, std::move(merged));
-}
-
-TraceNamespace MultiJobCoordinator::trace_namespace(
-    std::size_t j, std::uint32_t attempt) const {
-  TraceNamespace ns;
-  ns.job_pid = obs::service_job_pid(j);
-  ns.token_base = static_cast<std::uint64_t>(j) * obs::kServiceTokenStride +
-                  kAmAttemptTokenStride * (attempt - 1);
-  ns.label = "job " + std::to_string(j) + ": " + jobs_[j].driver->job().name;
-  // Service-level gauges live on the coordinator (see trace_setup).
-  ns.register_gauges = false;
-  return ns;
 }
 
 void MultiJobCoordinator::preemption_pass() {
@@ -282,7 +210,7 @@ void MultiJobCoordinator::preemption_pass() {
   // from whoever is furthest over share.
   std::vector<std::size_t> active;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    if (jobs_[j].started && !jobs_[j].driver->done()) active.push_back(j);
+    if (jobs_[j].chain->running()) active.push_back(j);
   }
   if (active.size() >= 2) {
     double sum_w = 0.0;
@@ -290,7 +218,7 @@ void MultiJobCoordinator::preemption_pass() {
     const double total = static_cast<double>(rm_.total_slots());
     std::uint32_t deficit = 0;
     for (const std::size_t j : active) {
-      const JobDriver& d = *jobs_[j].driver;
+      const JobDriver& d = driver(j);
       const bool demand =
           d.unassigned_bus() > 0 || d.next_reducer_input() > 0;
       if (!demand) continue;
@@ -310,7 +238,7 @@ std::uint32_t MultiJobCoordinator::handle_preemption(std::uint32_t want) {
   std::vector<std::size_t> active;
   double sum_w = 0.0;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    if (jobs_[j].started && !jobs_[j].driver->done()) {
+    if (jobs_[j].chain->running()) {
       active.push_back(j);
       sum_w += jobs_[j].weight;
     }
@@ -325,7 +253,7 @@ std::uint32_t MultiJobCoordinator::handle_preemption(std::uint32_t want) {
   std::uint32_t reclaimed = 0;
   for (const std::size_t j : active) {
     if (reclaimed >= want) break;
-    JobDriver& d = *jobs_[j].driver;
+    JobDriver& d = driver(j);
     const double share = total * jobs_[j].weight / sum_w;
     const double limit = share * preemption_.over_share_factor;
     while (reclaimed < want &&
@@ -371,18 +299,15 @@ void MultiJobCoordinator::trace_setup() {
   metrics.register_gauge("active_jobs", [this]() {
     std::size_t active = 0;
     for (const auto& entry : jobs_) {
-      if (entry.started && !entry.driver->done()) ++active;
+      if (entry.chain->running()) ++active;
     }
     return static_cast<double>(active);
   });
 }
 
 bool MultiJobCoordinator::all_done() const {
-  // A recovering job's driver reads done() (the crashed attempt drained)
-  // but its successor has not run yet — the workload is not finished.
-  return std::all_of(jobs_.begin(), jobs_.end(), [](const Entry& e) {
-    return e.started && e.driver->done() && !e.recovering;
-  });
+  return std::all_of(jobs_.begin(), jobs_.end(),
+                     [](const Entry& e) { return e.chain->finished(); });
 }
 
 std::vector<JobResult> MultiJobCoordinator::run_all() {

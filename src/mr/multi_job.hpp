@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "mr/attempt_chain.hpp"
 #include "mr/driver.hpp"
-#include "recover/journal.hpp"
 
 namespace flexmr::mr {
 
@@ -77,16 +77,9 @@ class MultiJobCoordinator {
   /// jobs admitted later informed at their start). Call before start().
   void schedule_node_failure(NodeId node, SimTime time);
 
-  /// AM-crash recovery knobs shared by every journaled job.
-  struct AmRecoveryConfig {
-    /// A crash on this attempt aborts the job (YARN's
-    /// yarn.resourcemanager.am.max-attempts).
-    std::uint32_t max_attempts = 2;
-    /// Downtime between an AM death and its successor's registration.
-    SimDuration restart_delay_s = 10.0;
-  };
-  /// Install before start().
-  void set_am_recovery(AmRecoveryConfig config);
+  /// The attempt budget of every job with a scheduled AM crash. Install
+  /// before start() and before the first schedule_am_crash().
+  void set_am_recovery(AmBudget budget);
 
   /// Kills job `job`'s AM at absolute time `time`; inert if the job is not
   /// running then (not yet admitted, finished, or already down). The first
@@ -95,24 +88,22 @@ class MultiJobCoordinator {
   /// after submit(), before the start event fires.
   void schedule_am_crash(std::size_t job, SimTime time);
 
-  /// True while `job` sits between an AM crash and its successor's start:
-  /// its driver reads done(), but the job is NOT finished.
-  bool am_recovering(std::size_t job) const { return jobs_[job].recovering; }
   /// True when `job` died for good — its AM crashed with no attempts left.
-  bool am_aborted(std::size_t job) const { return jobs_[job].am_aborted; }
+  bool am_aborted(std::size_t job) const {
+    return jobs_[job].chain->exhausted();
+  }
   /// Finished for admission purposes: started, drained, and not in
   /// AM-restart limbo.
   bool job_finished(std::size_t job) const {
-    const Entry& e = jobs_[job];
-    return e.started && e.driver->done() && !e.recovering;
+    return jobs_[job].chain->finished();
   }
 
   /// The job's result with the cross-attempt AM timeline folded in
-  /// (identical to driver(job).result() for never-crashed jobs): crashed
-  /// attempts' task records and fault events stitched in chronologically,
-  /// submit time restored to attempt 1's, abort reason set when the
-  /// attempt budget was exhausted.
-  JobResult result(std::size_t job) const;
+  /// (identical to driver(job).result() for never-crashed jobs); see
+  /// AmAttemptChain::result().
+  JobResult result(std::size_t job) const {
+    return jobs_[job].chain->result();
+  }
 
   /// Merged observability: every job records into `trace` under its own
   /// pid/token namespace while node, NameNode and fault tracks are shared,
@@ -132,9 +123,10 @@ class MultiJobCoordinator {
   bool all_done() const;
 
   std::size_t num_jobs() const { return jobs_.size(); }
-  JobDriver& driver(std::size_t job) { return *jobs_[job].driver; }
+  /// Job `job`'s live AM attempt.
+  JobDriver& driver(std::size_t job) { return jobs_[job].chain->driver(); }
   const JobDriver& driver(std::size_t job) const {
-    return *jobs_[job].driver;
+    return jobs_[job].chain->driver();
   }
   double weight(std::size_t job) const { return jobs_[job].weight; }
 
@@ -151,12 +143,6 @@ class MultiJobCoordinator {
   bool handle_offer(NodeId node);
   void start_job(std::size_t j);
   void on_node_failure(NodeId node);
-  /// Kills job j's live AM; schedules the restart or marks it aborted.
-  void on_am_crash(std::size_t j);
-  /// Builds job j's successor attempt from the crashed one and starts it.
-  void restart_am(std::size_t j);
-  /// Job j's trace namespace for AM attempt `attempt`.
-  TraceNamespace trace_namespace(std::size_t j, std::uint32_t attempt) const;
   void preemption_pass();
   std::uint32_t handle_preemption(std::uint32_t want);
   void trace_setup();
@@ -170,23 +156,16 @@ class MultiJobCoordinator {
   Rng rng_;
 
   struct Entry {
-    std::unique_ptr<JobDriver> driver;
+    /// The job's AM attempts; heap-held because its events capture it.
+    std::unique_ptr<AmAttemptChain> chain;
     SimTime submit_time = 0;
     double weight = 1.0;
-    bool started = false;
-    // AM-crash recovery (populated only for journaled jobs).
-    std::unique_ptr<recover::JobJournal> journal;
-    bool recovering = false;  ///< Crashed; successor not yet started.
-    bool am_aborted = false;  ///< Crashed with no attempts left.
-    /// Crashed attempts stay alive: their pending events are done()-gated
-    /// and their task records feed result(job).
-    std::vector<std::unique_ptr<JobDriver>> retired;
   };
   std::vector<Entry> jobs_;
   std::vector<std::pair<NodeId, SimTime>> failures_;
   /// (job, time) AM kills scheduled before start().
   std::vector<std::pair<std::size_t, SimTime>> am_crashes_;
-  AmRecoveryConfig am_recovery_;
+  AmBudget am_budget_;
   /// Cluster-level ground truth: nodes already dead (applied once each).
   std::set<NodeId> dead_nodes_;
   obs::TraceSession* trace_ = nullptr;

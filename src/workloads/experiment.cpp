@@ -75,22 +75,10 @@ mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
   const auto layout =
       make_layout(bench, scale, cluster.num_nodes(), config.block_size,
                   config.replication, config.params.seed, config.storage);
-  auto spec = to_job_spec(bench, scale);
-  if (config.faults.has_am_faults()) {
-    // AM-killable runs go through the restart loop: a crashed driver is
-    // permanently done() without finishing, and only the runner can play
-    // YARN's re-launch role. Crash-free plans stay on the plain path below
-    // (byte-identical to builds without recovery code).
-    recover::RecoveryRunner runner(sim, cluster, layout, spec, config.params,
-                                   scheduler, config.faults, config.trace);
-    auto result = runner.run();
-    result.scheduler = scheduler.name();
-    return result;
-  }
-  mr::JobDriver driver(sim, cluster, layout, spec, config.params, scheduler);
-  if (config.trace != nullptr) driver.set_trace(config.trace);
-  if (!config.faults.empty()) driver.install_faults(config.faults);
-  auto result = driver.run();
+  recover::RecoveryRunner runner(sim, cluster, layout,
+                                 to_job_spec(bench, scale), config.params,
+                                 scheduler, config.faults, config.trace);
+  auto result = runner.run();
   result.scheduler = scheduler.name();
   return result;
 }

@@ -8,6 +8,7 @@
 #include "cluster/presets.hpp"
 #include "hdfs/namenode.hpp"
 #include "mr/driver.hpp"
+#include "recover/runner.hpp"
 #include "workloads/experiment.hpp"
 
 namespace flexmr {
@@ -177,8 +178,9 @@ TEST(DriverIntegration, DriverDestructionRemovesItsSpeedListeners) {
     auto scheduler =
         workloads::make_scheduler(SchedulerKind::kFlexMap, params.seed);
     cluster.reset();
-    mr::JobDriver driver(sim, cluster, layout, spec, params, *scheduler);
-    const auto result = driver.run();
+    recover::RecoveryRunner runner(sim, cluster, layout, spec, params,
+                                   *scheduler, faults::FaultPlan{});
+    const auto result = runner.run();
     EXPECT_GT(result.jct(), 0.0);
     for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
       EXPECT_GE(cluster.machine(n).num_speed_listeners(), 1u);

@@ -5,6 +5,7 @@
 
 #include "cluster/presets.hpp"
 #include "flexmap/flexmap_scheduler.hpp"
+#include "recover/runner.hpp"
 #include "workloads/experiment.hpp"
 
 namespace flexmr {
@@ -95,9 +96,9 @@ TEST(SimParams, ExplicitReducerCountWins) {
   auto spec = workloads::to_job_spec(bench, InputScale::kSmall, 7);
   const auto scheduler =
       workloads::make_scheduler(SchedulerKind::kHadoopNoSpec);
-  mr::JobDriver driver(sim, cluster, layout, spec, mr::SimParams{},
-                       *scheduler);
-  const auto result = driver.run();
+  recover::RecoveryRunner runner(sim, cluster, layout, spec, mr::SimParams{},
+                                 *scheduler, faults::FaultPlan{});
+  const auto result = runner.run();
   EXPECT_EQ(result.count(mr::TaskKind::kReduce, mr::TaskStatus::kCompleted),
             7u);
 }

@@ -5,6 +5,7 @@
 
 #include "cluster/presets.hpp"
 #include "common/error.hpp"
+#include "recover/runner.hpp"
 #include "workloads/experiment.hpp"
 
 namespace flexmr {
@@ -151,9 +152,9 @@ TEST(EdgeCases, ManyMoreReducersThanSlots) {
   auto spec = workloads::to_job_spec(bench, InputScale::kSmall, 100);
   const auto scheduler =
       workloads::make_scheduler(SchedulerKind::kHadoopNoSpec);
-  mr::JobDriver driver(sim, cluster, layout, spec, mr::SimParams{},
-                       *scheduler);
-  const auto result = driver.run();
+  recover::RecoveryRunner runner(sim, cluster, layout, spec, mr::SimParams{},
+                                 *scheduler, faults::FaultPlan{});
+  const auto result = runner.run();
   // 100 reducers on 24 slots: multiple reduce waves, all complete.
   EXPECT_EQ(result.count(mr::TaskKind::kReduce, mr::TaskStatus::kCompleted),
             100u);

@@ -163,7 +163,7 @@ TEST(Failures, SchedulingAfterRunStartThrows) {
       workloads::make_scheduler(SchedulerKind::kHadoopNoSpec);
   mr::JobDriver driver(sim, cluster, layout, spec, mr::SimParams{},
                        *scheduler);
-  driver.run();
+  driver.start();
   EXPECT_THROW(driver.install_faults(faults::FaultPlan{}), InvariantError);
 }
 

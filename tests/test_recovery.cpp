@@ -5,9 +5,11 @@
 // just before the last commit — and restarting it from the journal yields
 // the same credited work totals as the crash-free run (exactly-once across
 // the restart), while redoing strictly less work than starting from
-// scratch. Plus: attempt-budget aborts, probabilistic (MTTF) AM death,
-// snapshot-cadence invariance, journal artifact shape, multi-job and
-// service survival of AM loss, and a pinned golden for a mid-map crash.
+// scratch. Plus: node loss and disk faults around a restart, attempt-
+// budget aborts, probabilistic (MTTF) AM death, snapshot-cadence
+// invariance, journal artifact shape, multi-job and service survival of AM
+// loss, a pinned golden for a mid-map crash, and pinned hashes for the AM
+// paths no golden reaches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -161,6 +163,56 @@ TEST_P(RecoverySweep, CrashedRunsAreByteDeterministic) {
   EXPECT_EQ(mr::job_result_json(first), mr::job_result_json(second));
 }
 
+// bench_scale's machine classes on 16 nodes, without interference: 2 fast
+// servers, 10 mid servers and 4 slow desktops, 4 slots each.
+cluster::Cluster mixed16() {
+  const cluster::MachineSpec fast{.model = "fast", .base_ips = 14.0};
+  const cluster::MachineSpec mid{.model = "mid", .base_ips = 11.0};
+  const cluster::MachineSpec slow{.model = "slow", .base_ips = 4.0};
+  return cluster::ClusterBuilder()
+      .add(fast, 2)
+      .add(mid, 10)
+      .add(slow, 4)
+      .build();
+}
+
+constexpr std::size_t kMixed16Bus = 1280;  // 10240 MiB / 8 MiB.
+
+// WC over 10 GiB on mixed16 with an AM crash at t = 60 s on top of
+// `config`'s faults; every BU must be credited exactly once.
+void expect_mixed16_recovers(SchedulerKind kind, RunConfig config) {
+  auto cluster = mixed16();
+  config.faults.am_crashes = {60.0};
+  const auto result =
+      workloads::run_job(cluster, bench_with(10240.0, 0.25),
+                         InputScale::kSmall, kind, config);
+  EXPECT_FALSE(result.aborted);
+  EXPECT_EQ(result.am_restarts, 1u);
+  EXPECT_EQ(credited_bus(result), kMixed16Bus);
+}
+
+// A disk fault drops a static rs(6,3) part holder before the AM crash; the
+// successor's fresh block index must not list it, or repair landing the
+// part back on that node would add it twice.
+TEST_P(RecoverySweep, AmRestartAfterDiskFaultReplaysDroppedHolders) {
+  RunConfig config;
+  config.storage = hdfs::StoragePolicy::rs(6, 3);
+  config.params.seed = 8;
+  config.faults.crashes = {{10, 23.632, 120.39, true}};
+  config.faults.disk_faults = {{7, 0, 53.77}};
+  expect_mixed16_recovers(GetParam(), config);
+}
+
+// The AM's successor loses the output of maps an earlier attempt committed
+// (node 1 dies silently and is detected after the restart) and re-runs
+// their units; the merged records must void the earlier commits.
+TEST_P(RecoverySweep, MergedRecordsVoidReplayedCommitsTheSuccessorLoses) {
+  RunConfig config;
+  config.params.seed = 32;
+  config.faults.crashes = {{1, 32.857, 119.383, true}};
+  expect_mixed16_recovers(GetParam(), config);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Schedulers, RecoverySweep,
     ::testing::Values(SchedulerKind::kHadoop, SchedulerKind::kHadoopNoSpec,
@@ -216,6 +268,7 @@ TEST(Recovery, AttemptBudgetExhaustionAborts) {
     EXPECT_TRUE(e.result().aborted);
     ASSERT_EQ(e.result().am_attempts.size(), 1u);
     EXPECT_DOUBLE_EQ(e.result().am_attempts[0].crash_time, 5.0);
+    EXPECT_EQ(fnv1a(mr::job_result_json(e.result())), 0x02957a7473a70f5dull);
   }
 }
 
@@ -230,6 +283,7 @@ TEST(Recovery, MttfCrashesRecoverUntilCompletion) {
   EXPECT_EQ(credited_bus(result), kTotalBus);
   EXPECT_EQ(result.am_restarts,
             static_cast<std::uint32_t>(result.am_attempts.size()));
+  EXPECT_EQ(fnv1a(mr::job_result_json(result)), 0x0f3df0e6e2223c19ull);
 }
 
 // The journal artifact itself: append-only log, snapshot fold, and the
@@ -300,6 +354,8 @@ TEST(Recovery, MultiJobSurvivesSingleAmCrash) {
   EXPECT_DOUBLE_EQ(results[0].am_attempts[0].crash_time, 8.0);
   // The crashed job's JCT includes the 10 s restart downtime.
   EXPECT_GE(results[0].finish_time, 18.0);
+  EXPECT_EQ(fnv1a(mr::job_result_json(results[0])), 0x6e194b3ac8c53fabull);
+  EXPECT_EQ(fnv1a(mr::job_result_json(results[1])), 0x63ff0d7440ba6995ull);
 }
 
 // The multi-job attempt budget: a second crash on a 2-attempt budget kills
@@ -326,6 +382,14 @@ TEST(Recovery, MultiJobAmBudgetExhaustionAbortsOnlyThatJob) {
   EXPECT_TRUE(results[0].aborted);
   EXPECT_NE(results[0].abort_reason.find("am_max_attempts"),
             std::string::npos);
+  // The abort is recorded as a single job's is: the last event, with the
+  // simulator's counters at that moment.
+  ASSERT_FALSE(results[0].fault_events.empty());
+  const faults::FaultEvent& last = results[0].fault_events.back();
+  EXPECT_EQ(last.type, faults::FaultEventType::kAbort);
+  EXPECT_DOUBLE_EQ(last.time, 20.0);
+  EXPECT_EQ(last.attempts, 2u);
+  EXPECT_GT(results[0].sim_events_fired, 0u);
   EXPECT_FALSE(results[1].aborted);
   EXPECT_EQ(credited_bus(results[1]), 128u);
 }
@@ -364,6 +428,7 @@ TEST(Recovery, ServiceSurvivesAmLossDeterministically) {
   }
   const std::string json = result.json();
   EXPECT_NE(json.find("\"am_restarts\""), std::string::npos);
+  EXPECT_EQ(fnv1a(json), 0x2b33dd5487bf8327ull);
   // The successor AM records into the same trace session as its
   // predecessor; tracing leaves the run unchanged.
   obs::TraceSession trace;
