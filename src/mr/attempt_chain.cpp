@@ -37,13 +37,16 @@ void AmAttemptChain::start() {
 
 void AmAttemptChain::crash() {
   if (!running()) return;
-  live_->crash_am();
-  if (live_->am_attempt() >= budget_.max_attempts) {
+  const std::uint32_t attempt = live_->am_attempt();
+  if (attempt >= budget_.max_attempts) {
+    // The job dies with this attempt, recorded like an in-attempt abort.
     exhausted_ = true;
-    abort_time_ = sim_->now();
-    abort_counters_ = sim_->counters();
+    live_->crash_am("AM crashed on attempt " + std::to_string(attempt) +
+                    " of " + std::to_string(budget_.max_attempts) +
+                    " (am_max_attempts exhausted)");
     return;
   }
+  live_->crash_am();
   restart_pending_ = true;
   sim_->schedule_after(budget_.restart_delay_s, [this]() { restart(); });
 }
@@ -66,29 +69,11 @@ void AmAttemptChain::restart() {
 }
 
 JobResult AmAttemptChain::result() const {
-  JobResult last = live_->result();
-  if (exhausted_) {
-    // crash_am leaves no finish time and no abort record; the chain
-    // declared the job dead.
-    last.aborted = true;
-    last.abort_reason = "AM crashed on attempt " +
-                        std::to_string(live_->am_attempt()) + " of " +
-                        std::to_string(budget_.max_attempts) +
-                        " (am_max_attempts exhausted)";
-    faults::FaultEvent ev;
-    ev.time = abort_time_;
-    ev.type = faults::FaultEventType::kAbort;
-    ev.attempts = live_->am_attempt();
-    last.fault_events.push_back(ev);
-    last.sim_events_fired = abort_counters_.fired;
-    last.sim_events_cancelled = abort_counters_.cancelled;
-    last.sim_queue_peak = abort_counters_.queue_peak;
-  }
   std::vector<const JobResult*> earlier;
   for (std::size_t i = 0; i + 1 < attempts_.size(); ++i) {
     earlier.push_back(&attempts_[i]->result());
   }
-  return merge_attempts(earlier, std::move(last));
+  return merge_attempts(earlier, live_->result());
 }
 
 }  // namespace flexmr::mr

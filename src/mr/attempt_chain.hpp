@@ -45,16 +45,18 @@ class AmAttemptChain {
   bool recoverable() const { return live_->journal() != nullptr; }
 
   /// Attempt N records into `trace` under `base` with its task tokens
-  /// shifted by N - 1 attempt strides; successors register no gauges (one
-  /// copy per session suffices). Before start().
+  /// shifted by N - 1 attempt strides. Successors register no gauges:
+  /// attempt 1's read the live attempt. Before start().
   void set_trace(obs::TraceSession* trace, TraceNamespace base);
 
   /// Starts attempt 1. One-shot.
   void start();
 
   /// Kills the live attempt; schedules its successor, or aborts the job
-  /// when the budget is spent. Inert unless an attempt is live: before
-  /// start(), after the job finished or aborted, and during AM downtime.
+  /// when the budget is spent (the abort reaches the result, the trace's
+  /// fault track and the fault_events counter as an in-attempt abort
+  /// does). Inert unless an attempt is live: before start(), after the
+  /// job finished or aborted, and during AM downtime.
   void crash();
 
   /// The live attempt (during AM downtime, the one that just crashed).
@@ -77,8 +79,7 @@ class AmAttemptChain {
   }
   const recover::JobJournal& journal() const { return journal_; }
 
-  /// The attempts merged into one result (merge_attempts), with the abort
-  /// recorded when the budget ran out.
+  /// The attempts merged into one result (merge_attempts).
   JobResult result() const;
 
  private:
@@ -95,9 +96,6 @@ class AmAttemptChain {
   bool started_ = false;
   bool restart_pending_ = false;
   bool exhausted_ = false;
-  /// When the budget ran out, and the simulator's counters then.
-  SimTime abort_time_ = 0;
-  SimCounters abort_counters_;
 };
 
 }  // namespace flexmr::mr

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
@@ -330,10 +331,15 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
         startup, [this, id]() { map_compute_start(id); });
   }
 
+  // Ids are dispatch-ordered, so the live list stays ascending without a
+  // sort; aged_running_maps also needs the dispatch times to ascend.
+  FLEXMR_ASSERT(live_map_ids_.empty() ||
+                map_tasks_[live_map_ids_.back()]->dispatch_time <=
+                    task->dispatch_time);
   ++running_map_count_;
+  if (task->speculative) ++running_speculative_count_;
   map_tasks_.push_back(std::move(task));
-  live_map_ids_.push_back(id);  // ids are dispatch-ordered, so this stays
-                                // ascending without a sort
+  live_map_ids_.push_back(id);
   ++map_state_version_;  // a new entry, and maybe the original's twin link
   if (tracer_ != nullptr) trace_map_begin(*map_tasks_[id]);
   scheduler_->on_map_dispatch(*this, id, node);
@@ -419,10 +425,8 @@ void JobDriver::record_map(const MapTask& task, TaskStatus status,
 void JobDriver::map_complete(TaskId id) {
   MapTask& task = *map_tasks_[id];
   FLEXMR_ASSERT(task.phase == TaskPhase::kComputing);
-  task.phase = TaskPhase::kDone;
   task.pending_event = kInvalidEvent;
-  --running_map_count_;
-  ++map_state_version_;
+  retire_map(task);
 
   // NOTE: rm_.release / kill_map below can cascade into dispatch_map, which
   // may reallocate map_tasks_ — copy what we need before any of them.
@@ -489,10 +493,19 @@ MiB JobDriver::end_map_attempt(MapTask& task) {
     sim_->cancel(task.pending_event);
     task.pending_event = kInvalidEvent;
   }
+  retire_map(task);
+  return task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+}
+
+void JobDriver::retire_map(MapTask& task) {
   task.phase = TaskPhase::kDone;
   --running_map_count_;
+  if (task.speculative) --running_speculative_count_;
   ++map_state_version_;
-  return task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+  const auto it = std::lower_bound(live_map_ids_.begin(),
+                                   live_map_ids_.end(), task.id);
+  FLEXMR_ASSERT(it != live_map_ids_.end() && *it == task.id);
+  live_map_ids_.erase(it);
 }
 
 MiB JobDriver::kill_map(MapTask& task, TaskStatus status, const char* reason,
@@ -548,7 +561,6 @@ bool JobDriver::preempt_one_map() {
   TaskId victim = kInvalidTask;
   for (const TaskId id : live_map_ids_) {
     const MapTask& task = *map_tasks_[id];
-    if (task.phase == TaskPhase::kDone) continue;
     if (task.speculative || task.twin != kInvalidTask) continue;
     if (silent_nodes_.count(task.node) > 0) continue;
     if (victim == kInvalidTask ||
@@ -1008,8 +1020,12 @@ void JobDriver::finish_job() {
   done_ = true;
   result_.finish_time = sim_->now();
   if (result_.map_phase_end == 0) result_.map_phase_end = sim_->now();
-  // Snapshot of the simulator's counters at completion. In shared-cluster
-  // mode the simulator is shared, so these span every co-running job.
+  record_sim_counters();
+}
+
+void JobDriver::record_sim_counters() {
+  // In shared-cluster mode the simulator is shared, so these span every
+  // co-running job.
   const SimCounters counters = sim_->counters();
   result_.sim_events_fired = counters.fired;
   result_.sim_events_cancelled = counters.cancelled;
@@ -1051,15 +1067,10 @@ void JobDriver::heartbeat() {
   // retained when a node produced no sample this round.
   hb_ips_sum_.assign(cluster_->num_nodes(), 0.0);
   hb_ips_cnt_.assign(cluster_->num_nodes(), 0);
-  // This walk doubles as the live-id sweep: finished ids are dropped so
-  // the list tracks in-flight tasks only. Ids stay ascending, so per-node
-  // sample accumulation order (and thus FP rounding) is identical to the
-  // historical all-tasks scan.
-  std::size_t kept = 0;
+  // Live ids are ascending, so per-node sample accumulation order (and
+  // thus FP rounding) is identical to the historical all-tasks scan.
   for (const TaskId id : live_map_ids_) {
-    MapTask& task = *map_tasks_[id];
-    if (task.phase == TaskPhase::kDone) continue;  // sweep
-    live_map_ids_[kept++] = id;
+    const MapTask& task = *map_tasks_[id];
     if (task.phase != TaskPhase::kComputing) continue;
     // A silently-dead node reports nothing; its frozen containers keep
     // their last known progress but produce no fresh samples.
@@ -1071,7 +1082,6 @@ void JobDriver::heartbeat() {
     hb_ips_sum_[task.node] += read / computing;
     ++hb_ips_cnt_[task.node];
   }
-  live_map_ids_.resize(kept);
   for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
     for (const double sample : pending_ips_samples_[node]) {
       hb_ips_sum_[node] += sample;
@@ -1146,7 +1156,7 @@ void JobDriver::set_journal(recover::JobJournal* journal) {
   journal_ = journal;
 }
 
-void JobDriver::crash_am() {
+void JobDriver::crash_am(const std::string& abort_reason) {
   if (done_) return;
   FLEXMR_ASSERT_MSG(journal_ != nullptr, "crash_am without a journal");
   am_crashed_ = true;
@@ -1164,10 +1174,11 @@ void JobDriver::crash_am() {
 
   // Tear down every in-flight map container — MRAppMaster death kills the
   // whole application's containers, so their consumed input is wasted
-  // simulated time the successor re-runs from the journal.
-  for (const TaskId id : live_map_ids_) {
+  // simulated time the successor re-runs from the journal. (A copy: each
+  // kill leaves the live list.)
+  const std::vector<TaskId> live = live_map_ids_;
+  for (const TaskId id : live) {
     MapTask& task = *map_tasks_[id];
-    if (task.phase == TaskPhase::kDone) continue;
     attempt.wasted_mib +=
         kill_map(task, TaskStatus::kKilled, "am crashed", ctr_.maps_killed);
     // Exactly one of an original/copy pair owns the BU list; counting the
@@ -1203,6 +1214,14 @@ void JobDriver::crash_am() {
     ctr_.redone_units->inc(attempt.wasted_units);
   }
   result_.am_attempts.push_back(attempt);
+  if (!abort_reason.empty()) {
+    // Before the trace closes, so its final metrics row counts the abort.
+    record_fault(faults::FaultEventType::kAbort, kInvalidNode, kInvalidTask,
+                 am_attempt_);
+    result_.aborted = true;
+    result_.abort_reason = abort_reason;
+    record_sim_counters();
+  }
   // No finish_time: this attempt did not finish the job — it died.
   trace_finish();
 }
@@ -1217,6 +1236,7 @@ std::unique_ptr<JobDriver> JobDriver::successor(yarn::ResourceManager& rm) {
   next->journal_ = journal_;
   next->am_attempt_ = am_attempt_ + 1;
   next->recovered_.emplace(journal_->replay());
+  successor_ = next.get();
   AmAttemptRecord& record = result_.am_attempts.back();
   record.restart_time = sim_->now();
   record.replayed_units =
@@ -1815,17 +1835,25 @@ void JobDriver::on_speed_change(NodeId node) {
 }
 
 std::vector<RunningMapInfo> JobDriver::running_maps() const {
-  FLEXMR_PROF_SCOPE("mr/running_maps");
-  // The hottest driver scan: LATE and SkewTune take one snapshot per
-  // (now, map_state_version()). Entries are filled in place: building each
-  // in a local and copying it in cost about a third more per call (GCC 12,
-  // Release, x86-64).
-  const SimTime now = sim_->now();
   std::vector<RunningMapInfo> out;
   out.reserve(live_map_ids_.size());
+  aged_running_maps(-std::numeric_limits<SimDuration>::infinity(), out);
+  return out;
+}
+
+std::size_t JobDriver::aged_running_maps(
+    SimDuration min_age, std::vector<RunningMapInfo>& out) const {
+  FLEXMR_PROF_SCOPE("mr/running_maps");
+  // The hottest driver scan: LATE and SkewTune read it once per (now,
+  // map_state_version()). Dispatch times ascend along the live list, so
+  // the first map younger than `min_age` ends the walk. Entries are
+  // filled in place: building each in a local and copying it in cost
+  // about a third more per call (GCC 12, Release, x86-64).
+  const SimTime now = sim_->now();
+  out.clear();
   for (const TaskId id : live_map_ids_) {
     const MapTask& task = *map_tasks_[id];
-    if (task.phase == TaskPhase::kDone) continue;
+    if (now - task.dispatch_time < min_age) break;
     RunningMapInfo& info = out.emplace_back();
     info.id = task.id;
     info.node = task.node;
@@ -1837,7 +1865,7 @@ std::vector<RunningMapInfo> JobDriver::running_maps() const {
     info.speculative = task.speculative;
     info.has_twin = task.twin != kInvalidTask;
   }
-  return out;
+  return running_speculative_count_;
 }
 
 std::optional<MiBps> JobDriver::observed_ips(NodeId node) const {
@@ -1898,59 +1926,69 @@ void JobDriver::trace_setup() {
                                       : "map phase");
     return;
   }
-  metrics.register_gauge("cluster_utilization", [this]() {
-    const double total = static_cast<double>(rm_.total_slots());
-    return total > 0 ? (total - static_cast<double>(rm_.total_free())) / total
-                     : 0.0;
+  // Each gauge reads the live attempt: after an AM restart this attempt
+  // is a crashed one, and its successors register none.
+  const auto gauge = [this, &metrics](std::string name, auto read) {
+    metrics.register_gauge(std::move(name),
+                           [this, read]() { return read(live_attempt()); });
+  };
+  gauge("cluster_utilization", [](const JobDriver& d) {
+    const double total = static_cast<double>(d.rm_.total_slots());
+    return total > 0
+               ? (total - static_cast<double>(d.rm_.total_free())) / total
+               : 0.0;
   });
-  metrics.register_gauge("rm_free_containers", [this]() {
-    return static_cast<double>(rm_.total_free());
+  gauge("rm_free_containers", [](const JobDriver& d) {
+    return static_cast<double>(d.rm_.total_free());
   });
-  metrics.register_gauge("pending_map_bus", [this]() {
-    return static_cast<double>(index_.unprocessed());
+  gauge("pending_map_bus", [](const JobDriver& d) {
+    return static_cast<double>(d.index_.unprocessed());
   });
-  metrics.register_gauge("pending_reducers", [this]() {
-    return static_cast<double>(reduce_tasks_.size() - next_reducer_ +
-                               reduce_requeue_.size());
+  gauge("pending_reducers", [](const JobDriver& d) {
+    return static_cast<double>(d.reduce_tasks_.size() - d.next_reducer_ +
+                               d.reduce_requeue_.size());
   });
-  metrics.register_gauge("running_maps", [this]() {
-    return static_cast<double>(running_map_count_);
+  gauge("running_maps", [](const JobDriver& d) {
+    return static_cast<double>(d.running_map_count_);
   });
-  metrics.register_gauge("running_reduces", [this]() {
-    return static_cast<double>(running_reduce_count_);
+  gauge("running_reduces", [](const JobDriver& d) {
+    return static_cast<double>(d.running_reduce_count_);
   });
-  metrics.register_gauge("in_flight_fetches", [this]() {
+  gauge("in_flight_fetches", [](const JobDriver& d) {
     std::size_t fetching = 0;
-    for (const auto& owned : reduce_tasks_) {
+    for (const auto& owned : d.reduce_tasks_) {
       if (owned->phase == TaskPhase::kFetching) ++fetching;
     }
     return static_cast<double>(fetching);
   });
-  metrics.register_gauge("under_replicated_blocks", [this]() {
-    return replica_mgr_ ? static_cast<double>(
-                              replica_mgr_->under_replicated_count())
-                        : 0.0;
-  });
+  const auto under_replicated = [](const JobDriver& d) {
+    return d.replica_mgr_ ? static_cast<double>(
+                                d.replica_mgr_->under_replicated_count())
+                          : 0.0;
+  };
+  gauge("under_replicated_blocks", under_replicated);
   if (layout_->storage.erasure()) {
     // rs(k,m) alias of the same backlog: the repair queue holds blocks
     // below their k+m part target, sized for the erasure dashboards.
-    metrics.register_gauge("repair_backlog", [this]() {
-      return replica_mgr_ ? static_cast<double>(
-                                replica_mgr_->under_replicated_count())
-                          : 0.0;
-    });
+    gauge("repair_backlog", under_replicated);
   }
   if (trace_->options().per_node_gauges) {
     for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
-      metrics.register_gauge(
-          "node" + std::to_string(node) + "_ips_mibps", [this, node]() {
-            return round_ips_[node] ? *round_ips_[node] : 0.0;
-          });
+      gauge("node" + std::to_string(node) + "_ips_mibps",
+            [node](const JobDriver& d) {
+              return d.round_ips_[node] ? *d.round_ips_[node] : 0.0;
+            });
     }
   }
 
   trace_begin_phase(map_phase_done_ ? "reduce phase (recovered)"
                                     : "map phase");
+}
+
+const JobDriver& JobDriver::live_attempt() const {
+  const JobDriver* live = this;
+  while (live->successor_ != nullptr) live = live->successor_;
+  return *live;
 }
 
 JobDriver::Counters JobDriver::register_instruments(

@@ -146,8 +146,11 @@ class JobDriver final : public DriverContext {
   /// semantics — YARN kills the whole application's containers), held
   /// slots return to the RM, the trace closes, and the driver goes
   /// permanently done() WITHOUT a finish_time. Records kAmCrash and the
-  /// attempt's teardown accounting. No-op once done().
-  void crash_am();
+  /// attempt's teardown accounting. A non-empty `abort_reason` makes this
+  /// the job's last attempt: the job aborts with it, recorded as an
+  /// in-attempt abort is (kAbort event, trace instant, fault counter,
+  /// simulator counters). No-op once done().
+  void crash_am(const std::string& abort_reason = {});
 
   /// Builds AM attempt N+1 of this crashed attempt: a not-yet-started
   /// driver for the same job that allocates from `rm` (the RM outlives
@@ -157,8 +160,8 @@ class JobDriver final : public DriverContext {
   /// injector and replica manager move by pointer: their pending
   /// simulator events capture raw pointers, and start() re-points their
   /// handlers at the successor. Stamps this attempt's AmAttemptRecord
-  /// with the restart time and replayed units. Only valid after
-  /// crash_am().
+  /// with the restart time and replayed units, and links this attempt to
+  /// its successor (see live_attempt()). Only valid after crash_am().
   std::unique_ptr<JobDriver> successor(yarn::ResourceManager& rm);
 
   /// The RM this driver allocates from: attempt 1's serves every
@@ -214,6 +217,8 @@ class JobDriver final : public DriverContext {
   std::uint32_t total_free_slots() const override { return rm_.total_free(); }
   std::uint32_t total_slots() const override { return rm_.total_slots(); }
   std::vector<RunningMapInfo> running_maps() const override;
+  std::size_t aged_running_maps(
+      SimDuration min_age, std::vector<RunningMapInfo>& out) const override;
   std::uint64_t map_state_version() const override {
     return map_state_version_;
   }
@@ -332,6 +337,8 @@ class JobDriver final : public DriverContext {
   /// pending event, marks it done, lowers the running count and returns
   /// the input it consumed.
   MiB end_map_attempt(MapTask& task);
+  /// Marks `task` kDone: it leaves live_map_ids_ and the running counts.
+  void retire_map(MapTask& task);
   /// Ends `task` without credit: records it as `status`, closes its span
   /// with `reason` and bumps `counter` (null = none). The caller releases
   /// the slot. Returns the consumed input.
@@ -435,6 +442,8 @@ class JobDriver final : public DriverContext {
   double reduce_rate(const ReduceTask& task) const;
   void reschedule_map_completion(MapTask& task);
   void finish_job();
+  /// Copies the simulator's counters into the result.
+  void record_sim_counters();
 
   /// Shared core of kill_and_reclaim / preempt_one_map: stop `id`, credit
   /// its consumed prefix, put the rest back. `reason` labels the trace.
@@ -448,6 +457,10 @@ class JobDriver final : public DriverContext {
   void trace_task_closed(TaskId id, const char* status, const char* reason,
                          MiB consumed);
   void trace_finish();
+  /// The newest attempt along the successor() links — the live one of the
+  /// job's AmAttemptChain, which keeps every attempt alive. Gauges read
+  /// it: only attempt 1 registers them.
+  const JobDriver& live_attempt() const;
   /// Task id → tracer token under this job's namespace.
   std::uint64_t ttok(TaskId id) const { return trace_ns_.token_base + id; }
 
@@ -464,11 +477,15 @@ class JobDriver final : public DriverContext {
   Rng rng_;
 
   std::vector<std::unique_ptr<MapTask>> map_tasks_;   // id == index
-  /// Ids of map tasks not yet Done, ascending (dispatch appends; finished
-  /// ids are skipped by readers and swept out during the heartbeat walk).
-  /// Keeps the heartbeat sampling scan, speed re-rating and running_maps()
+  /// Ids of map tasks not yet Done, ascending: dispatch appends, and an id
+  /// leaves the moment its task turns kDone (retire_map). Keeps the
+  /// heartbeat sampling scan, speed re-rating and running_maps()
   /// proportional to in-flight work instead of every task ever launched.
+  /// Ids are handed out in dispatch order at the current simulated time,
+  /// so dispatch times ascend along the list too (dispatch_map asserts
+  /// it): the maps at least some age old form a prefix of it.
   std::vector<TaskId> live_map_ids_;
+  std::size_t running_speculative_count_ = 0;  ///< Speculative ids in it.
   /// Heartbeat per-node sample accumulators (members so a heartbeat wave
   /// allocates nothing).
   std::vector<double> hb_ips_sum_;
@@ -541,6 +558,7 @@ class JobDriver final : public DriverContext {
   std::uint32_t am_attempt_ = 1;
   std::optional<recover::RecoveredState> recovered_;
   bool am_crashed_ = false;
+  JobDriver* successor_ = nullptr;
 
   /// Opt-in observability (null unless set_trace was called). tracer_
   /// caches &trace_->tracer() so hot paths test one pointer; the counter

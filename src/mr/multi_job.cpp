@@ -163,24 +163,30 @@ void MultiJobCoordinator::start_job(std::size_t j) {
 }
 
 bool MultiJobCoordinator::handle_offer(NodeId node) {
-  // Candidate jobs: started, unfinished — ordered by policy.
-  std::vector<std::size_t> order;
+  // Candidate jobs: started, unfinished — ordered by policy. The order is
+  // a member buffer and std::sort does not allocate; ties fall back to the
+  // job index, as a stable sort of the index-ordered candidates would.
+  // (The RM's offer guard keeps this from re-entering.)
+  offer_order_.clear();
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    if (jobs_[j].chain->running()) order.push_back(j);
+    if (jobs_[j].chain->running()) offer_order_.push_back(j);
   }
   if (policy_ == SharePolicy::kFair) {
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return driver(a).slots_in_use() <
-                              driver(b).slots_in_use();
-                     });
+    std::sort(offer_order_.begin(), offer_order_.end(),
+              [this](std::size_t a, std::size_t b) {
+                const std::uint32_t ua = driver(a).slots_in_use();
+                const std::uint32_t ub = driver(b).slots_in_use();
+                return ua != ub ? ua < ub : a < b;
+              });
   } else if (policy_ == SharePolicy::kWeightedFair) {
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return weighted_usage(a) < weighted_usage(b);
-                     });
+    std::sort(offer_order_.begin(), offer_order_.end(),
+              [this](std::size_t a, std::size_t b) {
+                const double ua = weighted_usage(a);
+                const double ub = weighted_usage(b);
+                return ua != ub ? ua < ub : a < b;
+              });
   }
-  for (const std::size_t j : order) {
+  for (const std::size_t j : offer_order_) {
     if (driver(j).offer(node)) return true;
   }
   return false;

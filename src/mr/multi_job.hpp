@@ -162,6 +162,7 @@ class MultiJobCoordinator {
     double weight = 1.0;
   };
   std::vector<Entry> jobs_;
+  std::vector<std::size_t> offer_order_;  ///< handle_offer's scratch.
   std::vector<std::pair<NodeId, SimTime>> failures_;
   /// (job, time) AM kills scheduled before start().
   std::vector<std::pair<std::size_t, SimTime>> am_crashes_;

@@ -86,12 +86,33 @@ class DriverContext {
 
   virtual std::vector<RunningMapInfo> running_maps() const = 0;
 
+  /// The running maps at least `min_age` old (now() - dispatch_time >=
+  /// min_age), written into the caller's `out` in running_maps() order.
+  /// Returns the number of running speculative copies of any age. LATE
+  /// and SkewTune read through this on every completion-triggered offer
+  /// into buffers of their own; JobDriver's override stops at the first
+  /// map younger than `min_age`. The default derives both answers from
+  /// running_maps(), so a forwarding context that does not forward this
+  /// stays correct.
+  virtual std::size_t aged_running_maps(
+      SimDuration min_age, std::vector<RunningMapInfo>& out) const {
+    const SimTime t = now();
+    std::size_t speculating = 0;
+    out.clear();
+    for (const RunningMapInfo& info : running_maps()) {
+      if (info.speculative) ++speculating;
+      if (t - info.dispatch_time >= min_age) out.push_back(info);
+    }
+    return speculating;
+  }
+
   /// State versions a policy may key cached derivations on. The map
-  /// version changes whenever running_maps() could return different
-  /// entries at the same now(); the cluster-view version whenever
-  /// observed_ips() or node_alive() could answer differently. 0 means
-  /// "not tracked: recompute" — the default, so a forwarding context that
-  /// does not forward them stays correct, only slower.
+  /// version changes whenever running_maps() (or aged_running_maps())
+  /// could return different entries at the same now(); the cluster-view
+  /// version whenever observed_ips() or node_alive() could answer
+  /// differently. 0 means "not tracked: recompute" — the default, so a
+  /// forwarding context that does not forward them stays correct, only
+  /// slower.
   virtual std::uint64_t map_state_version() const { return 0; }
   virtual std::uint64_t cluster_view_version() const { return 0; }
 

@@ -74,19 +74,17 @@ TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) {
     return straggler_.task;
   }
   FLEXMR_PROF_SCOPE("sched/skewtune_argmax");
-  const auto running = ctx.running_maps();
+  ctx.aged_running_maps(options_.min_runtime_s, running_);
   // The strict `>` keeps the *first* maximum in snapshot order.
   TaskId best = kInvalidTask;
   double best_time_left = 0;
-  for (const auto& info : running) {
+  for (const auto& info : running_) {
     if (!info.computing) continue;
     if (info.id < mitigation_task_.size() && mitigation_task_[info.id]) {
       continue;
     }
     if (info.size_mib <= 2 * kBlockUnitMiB) continue;  // nothing to split
-    const SimDuration elapsed = now - info.dispatch_time;
-    if (elapsed < options_.min_runtime_s) continue;
-    const double rate = info.progress / elapsed;
+    const double rate = info.progress / (now - info.dispatch_time);
     if (rate <= 0) continue;
     const double time_left = (1.0 - info.progress) / rate;
     // Mitigation must buy more than it costs. With k helpers the tail

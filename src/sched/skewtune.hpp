@@ -90,6 +90,8 @@ class SkewTuneScheduler final : public StockHadoopScheduler {
     TaskId task = kInvalidTask;
   };
   StragglerCache straggler_;
+  /// find_straggler's scratch: the maps at least min_runtime_s old.
+  std::vector<mr::RunningMapInfo> running_;
 };
 
 }  // namespace flexmr::sched

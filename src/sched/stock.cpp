@@ -150,18 +150,15 @@ std::optional<mr::MapLaunch> StockHadoopScheduler::launch_pending_block(
 }
 
 void StockHadoopScheduler::build_late_candidates(mr::DriverContext& ctx) {
-  const auto running = ctx.running_maps();
   const SimTime now = ctx.now();
-  late_.speculating = 0;
+  late_.speculating =
+      ctx.aged_running_maps(options_.late.min_runtime_s, late_.running);
   late_.candidates.clear();
   // Candidates: running, old enough, unfinished enough, not yet backed up.
-  for (const auto& info : running) {
-    if (info.speculative) ++late_.speculating;
+  for (const auto& info : late_.running) {
     if (!info.computing || info.speculative || info.has_twin) continue;
-    const SimDuration elapsed = now - info.dispatch_time;
-    if (elapsed < options_.late.min_runtime_s) continue;
     if (info.progress >= options_.late.max_progress) continue;
-    const double rate = info.progress / elapsed;
+    const double rate = info.progress / (now - info.dispatch_time);
     if (rate <= 0) continue;
     late_.candidates.push_back(
         {info.id, info.node, rate, (1.0 - info.progress) / rate});

@@ -108,7 +108,8 @@ class StockHadoopScheduler : public mr::Scheduler {
   void repend_reclaimed(mr::DriverContext& ctx,
                         const std::vector<BlockUnitId>& reclaimed);
 
-  /// Rebuilds late_'s per-(now, map version) part from one snapshot.
+  /// Rebuilds late_'s per-(now, map version) part from the running maps
+  /// at least min_runtime_s old.
   void build_late_candidates(mr::DriverContext& ctx);
 
   /// What LATE derives from the driver, cached on the context's state
@@ -131,7 +132,9 @@ class StockHadoopScheduler : public mr::Scheduler {
     std::uint64_t map_version = 0;
     std::size_t speculating = 0;  ///< Running speculative copies.
     std::vector<LateCandidate> candidates;
-    std::vector<double> rates;  ///< Per-offer scratch.
+    /// Scratch: the maps old enough to judge, and per-offer rates.
+    std::vector<mr::RunningMapInfo> running;
+    std::vector<double> rates;
   };
 
   StockOptions options_;

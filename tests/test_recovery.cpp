@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -459,6 +460,114 @@ TEST(Recovery, MidMapAmCrashGolden) {
     FAIL() << "FLEXMR_REGEN_GOLDEN set: update kExpected and re-run";
   }
   EXPECT_EQ(hash, kExpected);
+}
+
+/// A metrics CSV split into its header and numeric rows.
+struct MetricsTable {
+  std::vector<std::string> columns;
+  std::vector<std::vector<double>> rows;
+
+  explicit MetricsTable(const std::string& csv) {
+    std::istringstream lines(csv);
+    std::string line;
+    std::getline(lines, line);
+    std::istringstream header(line);
+    for (std::string cell; std::getline(header, cell, ',');) {
+      columns.push_back(cell);
+    }
+    while (std::getline(lines, line)) {
+      std::istringstream row(line);
+      rows.emplace_back();
+      for (std::string cell; std::getline(row, cell, ',');) {
+        rows.back().push_back(std::stod(cell));
+      }
+    }
+  }
+
+  std::size_t column(const std::string& name) const {
+    const auto it = std::find(columns.begin(), columns.end(), name);
+    if (it == columns.end()) {
+      ADD_FAILURE() << "no metrics column " << name;
+      return 0;
+    }
+    return static_cast<std::size_t>(it - columns.begin());
+  }
+};
+
+// Only attempt 1 registers the per-job gauges, so they must read the live
+// attempt: after the restart the successor runs the rest of the job.
+TEST(Recovery, TracedGaugesFollowTheRestartedAttempt) {
+  auto cluster = cluster::presets::virtual20();
+  obs::TraceSession trace;
+  RunConfig config;
+  config.params.seed = 1234;
+  config.faults.am_crashes = {40.0};
+  config.trace = &trace;
+  const auto result =
+      workloads::run_job(cluster, workloads::benchmark("WC"),
+                         InputScale::kSmall, SchedulerKind::kHadoop, config);
+  ASSERT_EQ(result.am_restarts, 1u);
+  // Tracing leaves the pinned result alone (Recovery.MidMapAmCrashGolden).
+  EXPECT_EQ(fnv1a(mr::job_result_json(result, cluster)),
+            0xc4fd10a581aa81e8ull);
+
+  const MetricsTable table(trace.metrics_csv());
+  const std::size_t ts = table.column("ts_s");
+  const std::size_t pending = table.column("pending_map_bus");
+  const std::size_t maps = table.column("running_maps");
+  const std::size_t reduces = table.column("running_reduces");
+  const SimTime restart = result.am_attempts[0].restart_time;
+  double maps_after_restart = 0;
+  double reduces_after_restart = 0;
+  for (const auto& row : table.rows) {
+    if (row[ts] <= restart) continue;
+    maps_after_restart = std::max(maps_after_restart, row[maps]);
+    reduces_after_restart = std::max(reduces_after_restart, row[reduces]);
+  }
+  EXPECT_GT(maps_after_restart, 0.0);
+  EXPECT_GT(reduces_after_restart, 0.0);
+  ASSERT_FALSE(table.rows.empty());
+  EXPECT_DOUBLE_EQ(table.rows.back()[ts], result.finish_time);
+  EXPECT_EQ(table.rows.back()[pending], 0.0);
+}
+
+// A crash that spends the last AM attempt aborts the job the way an
+// in-attempt abort does: an "abort" instant on the fault track and one
+// more fault_events count, in the final metrics row too.
+TEST(Recovery, TracedBudgetExhaustionRecordsTheAbort) {
+  auto run = [](obs::TraceSession* trace) {
+    auto cluster = cluster::presets::virtual20();
+    RunConfig config;
+    config.params.seed = 1234;
+    config.faults.am_crashes = {40.0, 90.0};
+    config.faults.am_max_attempts = 2;
+    config.trace = trace;
+    try {
+      workloads::run_job(cluster, workloads::benchmark("WC"),
+                         InputScale::kSmall, SchedulerKind::kHadoop, config);
+    } catch (const mr::JobAbortedError& e) {
+      return e.result();
+    }
+    ADD_FAILURE() << "expected JobAbortedError";
+    return mr::JobResult{};
+  };
+  obs::TraceSession trace;
+  const mr::JobResult result = run(&trace);
+  EXPECT_EQ(mr::job_result_json(result), mr::job_result_json(run(nullptr)));
+  ASSERT_TRUE(result.aborted);
+  ASSERT_FALSE(result.fault_events.empty());
+  const faults::FaultEvent& last = result.fault_events.back();
+  EXPECT_EQ(last.type, faults::FaultEventType::kAbort);
+  EXPECT_DOUBLE_EQ(last.time, 90.0);
+  EXPECT_EQ(last.attempts, 2u);
+
+  EXPECT_NE(trace.trace_json().find("\"abort\""), std::string::npos);
+  const auto events = static_cast<double>(result.fault_events.size());
+  EXPECT_EQ(trace.metrics().counter_value("fault_events"),
+            result.fault_events.size());
+  const MetricsTable table(trace.metrics_csv());
+  ASSERT_FALSE(table.rows.empty());
+  EXPECT_EQ(table.rows.back()[table.column("fault_events")], events);
 }
 
 }  // namespace

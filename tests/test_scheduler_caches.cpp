@@ -2,9 +2,11 @@
 // threshold, SkewTune's straggler and FlexMap's capacity sums are keyed on
 // the driver's state versions (DriverContext::map_state_version and
 // cluster_view_version). A context that reports both versions as 0 ("not
-// tracked") puts every policy on its uncached path. These tests run the
-// same jobs both ways and require byte-identical results, and they pin how
-// many running-map snapshots the cached path builds on bench_scale's
+// tracked") and leaves aged_running_maps() to DriverContext's default puts
+// every policy on its uncached, full-snapshot path: the reference. These
+// tests run the same jobs both ways and require byte-identical results;
+// the forwarding side also checks every aged read against the default.
+// They pin how much running-map state each path reads on bench_scale's
 // 256-node grid.
 #include <gtest/gtest.h>
 
@@ -27,20 +29,35 @@ using faults::NodeCrash;
 using workloads::InputScale;
 using workloads::SchedulerKind;
 
+bool same_entry(const mr::RunningMapInfo& a, const mr::RunningMapInfo& b) {
+  return a.id == b.id && a.node == b.node && a.size_mib == b.size_mib &&
+         a.bytes_read == b.bytes_read && a.progress == b.progress &&
+         a.dispatch_time == b.dispatch_time && a.computing == b.computing &&
+         a.speculative == b.speculative && a.has_twin == b.has_twin;
+}
+
 /// The DriverContext a wrapped policy sees: every accessor forwards to the
-/// real driver, bound per callback. Unless `forward_versions` is set it
-/// reports both state versions as 0. Counts running_maps() calls.
+/// real driver, bound per callback. Unless `forward` is set it reports
+/// both state versions as 0 and answers aged_running_maps() with
+/// DriverContext's default, which reads running_maps(). With `forward`
+/// set it forwards both, and checks every aged read against the default
+/// computed on the real driver.
 class ForwardingContext final : public mr::DriverContext {
  public:
-  explicit ForwardingContext(bool forward_versions)
-      : forward_versions_(forward_versions) {}
+  explicit ForwardingContext(bool forward) : forward_(forward) {}
 
   mr::DriverContext& bind(mr::DriverContext& inner) {
     inner_ = &inner;
     return *this;
   }
 
+  // Counted from const accessors, hence mutable.
   mutable std::uint64_t running_maps_calls = 0;
+  mutable std::uint64_t running_maps_entries = 0;
+  mutable std::uint64_t aged_reads = 0;          ///< Forwarded reads.
+  mutable std::uint64_t aged_entries = 0;        ///< Entries they returned.
+  mutable std::uint64_t aged_mismatches = 0;     ///< Reads != the default.
+  mutable std::uint64_t speculating_reads = 0;   ///< Reads counting a copy.
 
   SimTime now() const override { return inner_->now(); }
   const mr::JobSpec& job() const override { return inner_->job(); }
@@ -59,14 +76,34 @@ class ForwardingContext final : public mr::DriverContext {
   }
   std::uint32_t total_slots() const override { return inner_->total_slots(); }
   std::vector<mr::RunningMapInfo> running_maps() const override {
+    auto maps = inner_->running_maps();
     ++running_maps_calls;
-    return inner_->running_maps();
+    running_maps_entries += maps.size();
+    return maps;
+  }
+  std::size_t aged_running_maps(
+      SimDuration min_age,
+      std::vector<mr::RunningMapInfo>& out) const override {
+    if (!forward_) return DriverContext::aged_running_maps(min_age, out);
+    const std::size_t speculating = inner_->aged_running_maps(min_age, out);
+    ++aged_reads;
+    aged_entries += out.size();
+    if (speculating > 0) ++speculating_reads;
+    std::vector<mr::RunningMapInfo> expected;
+    const std::size_t expected_speculating =
+        inner_->DriverContext::aged_running_maps(min_age, expected);
+    if (speculating != expected_speculating ||
+        !std::equal(out.begin(), out.end(), expected.begin(), expected.end(),
+                    same_entry)) {
+      ++aged_mismatches;
+    }
+    return speculating;
   }
   std::uint64_t map_state_version() const override {
-    return forward_versions_ ? inner_->map_state_version() : 0;
+    return forward_ ? inner_->map_state_version() : 0;
   }
   std::uint64_t cluster_view_version() const override {
-    return forward_versions_ ? inner_->cluster_view_version() : 0;
+    return forward_ ? inner_->cluster_view_version() : 0;
   }
   std::optional<MiBps> observed_ips(NodeId node) const override {
     return inner_->observed_ips(node);
@@ -106,7 +143,7 @@ class ForwardingContext final : public mr::DriverContext {
   }
 
  private:
-  bool forward_versions_;
+  bool forward_;
   mr::DriverContext* inner_ = nullptr;
 };
 
@@ -115,9 +152,8 @@ class ForwardingContext final : public mr::DriverContext {
 /// large enough for FlexMap's size guard to judge it.
 class ForwardingScheduler final : public mr::Scheduler {
  public:
-  ForwardingScheduler(std::unique_ptr<mr::Scheduler> inner,
-                      bool forward_versions)
-      : inner_(std::move(inner)), ctx_(forward_versions) {}
+  ForwardingScheduler(std::unique_ptr<mr::Scheduler> inner, bool forward)
+      : inner_(std::move(inner)), ctx_(forward) {}
 
   const ForwardingContext& context() const { return ctx_; }
   std::uint64_t heavy_reducer_offers = 0;
@@ -177,22 +213,48 @@ constexpr SchedulerKind kSchedulers[] = {
     SchedulerKind::kHadoop, SchedulerKind::kHadoopNoSpec,
     SchedulerKind::kSkewTune, SchedulerKind::kFlexMap};
 
+/// A run through a ForwardingScheduler: the result document and what the
+/// context counted.
+struct ForwardedRun {
+  std::string json;
+  std::uint64_t heavy_reducer_offers = 0;
+  std::uint64_t aged_reads = 0;
+  std::uint64_t aged_mismatches = 0;
+  std::uint64_t speculating_reads = 0;
+};
+
+ForwardedRun forwarded_run(const ForwardingScheduler& scheduler,
+                           std::string json) {
+  const ForwardingContext& ctx = scheduler.context();
+  return {std::move(json), scheduler.heavy_reducer_offers, ctx.aged_reads,
+          ctx.aged_mismatches, ctx.speculating_reads};
+}
+
 /// One golden-configuration run (the paper's 20-node virtual cluster, WC,
-/// seed 1234) through an uncached ForwardingScheduler.
-std::string run_uncached(SchedulerKind kind, MiB block_size,
-                         const FaultPlan& plan) {
+/// seed 1234) through a ForwardingScheduler.
+ForwardedRun run_golden_config(SchedulerKind kind, MiB block_size,
+                               const FaultPlan& plan, bool forward) {
   auto cluster = cluster::presets::virtual20();
   workloads::RunConfig config;
   config.block_size = block_size;
   config.params.seed = 1234;
   config.faults = plan;
   ForwardingScheduler scheduler(workloads::make_scheduler(kind, 1234),
-                                /*forward_versions=*/false);
+                                forward);
   auto result =
       workloads::run_job(cluster, workloads::benchmark("WC"),
                          InputScale::kSmall, scheduler, config);
   result.scheduler = workloads::scheduler_label(kind);
-  return mr::job_result_json(result, cluster);
+  return forwarded_run(scheduler, mr::job_result_json(result, cluster));
+}
+
+std::string run_uncached(SchedulerKind kind, MiB block_size,
+                         const FaultPlan& plan) {
+  return run_golden_config(kind, block_size, plan, false).json;
+}
+
+bool reads_running_maps(SchedulerKind kind) {
+  return kind == SchedulerKind::kHadoop || kind == SchedulerKind::kSkewTune;
 }
 
 TEST(SchedulerCaches, UncachedPathReproducesEveryGolden) {
@@ -228,10 +290,16 @@ TEST(SchedulerCaches, AmRestartReadsNoPredecessorCache) {
     config.faults = plan;
     auto cached = workloads::run_job(cluster, workloads::benchmark("WC"),
                                      InputScale::kSmall, kind, config);
-    EXPECT_EQ(cached.am_restarts, 2u) << workloads::scheduler_label(kind);
-    EXPECT_EQ(mr::job_result_json(cached, cluster),
-              run_uncached(kind, kDefaultBlockMiB, plan))
-        << workloads::scheduler_label(kind);
+    const std::string label = workloads::scheduler_label(kind);
+    EXPECT_EQ(cached.am_restarts, 2u) << label;
+    const std::string uncached = run_uncached(kind, kDefaultBlockMiB, plan);
+    EXPECT_EQ(mr::job_result_json(cached, cluster), uncached) << label;
+    // Every aged read of all three attempts matches the default.
+    const ForwardedRun forwarded =
+        run_golden_config(kind, kDefaultBlockMiB, plan, true);
+    EXPECT_EQ(forwarded.json, uncached) << label;
+    EXPECT_EQ(forwarded.aged_mismatches, 0u) << label;
+    EXPECT_EQ(forwarded.aged_reads > 0, reads_running_maps(kind)) << label;
   }
 }
 
@@ -245,12 +313,7 @@ struct SweepCase {
   workloads::Benchmark bench;
 };
 
-struct SweepRun {
-  std::string json;
-  std::uint64_t heavy_reducer_offers = 0;
-};
-
-SweepRun run_sweep_case(const SweepCase& c, bool forward_versions) {
+ForwardedRun run_sweep_case(const SweepCase& c, bool forward) {
   // Slow nodes first: they are offered first, so heavy reducers reach
   // them while their quota lasts.
   auto cluster = cluster::ClusterBuilder()
@@ -263,7 +326,7 @@ SweepRun run_sweep_case(const SweepCase& c, bool forward_versions) {
       c.seed, c.storage);
   const auto spec = workloads::to_job_spec(c.bench, InputScale::kSmall);
   ForwardingScheduler scheduler(workloads::make_scheduler(c.kind, c.seed),
-                                forward_versions);
+                                forward);
   Simulator sim;
   mr::SimParams params;
   params.seed = c.seed;
@@ -272,8 +335,8 @@ SweepRun run_sweep_case(const SweepCase& c, bool forward_versions) {
   driver.start();
   while (!driver.done() && sim.now() < 5000.0 && sim.step()) {
   }
-  return {mr::job_result_json(driver.result(), cluster),
-          scheduler.heavy_reducer_offers};
+  return forwarded_run(scheduler,
+                       mr::job_result_json(driver.result(), cluster));
 }
 
 /// 1–3 silent crashes between 20 and 120 s, each rejoining 30–90 s later,
@@ -307,21 +370,35 @@ workloads::Benchmark sweep_bench(MiB input, double key_skew) {
   return bench;
 }
 
-void expect_same_bytes(const SweepCase& c, const std::string& what) {
-  const SweepRun cached = run_sweep_case(c, true);
-  const SweepRun uncached = run_sweep_case(c, false);
+/// Runs `c` forwarded and on the reference path; requires the same bytes
+/// and every forwarded aged read equal to the default's answer.
+ForwardedRun expect_same_bytes(const SweepCase& c, const std::string& what) {
+  const ForwardedRun cached = run_sweep_case(c, true);
+  const ForwardedRun uncached = run_sweep_case(c, false);
   EXPECT_EQ(cached.json, uncached.json)
       << what << ": " << workloads::scheduler_label(c.kind) << " seed "
       << c.seed;
+  EXPECT_EQ(cached.aged_mismatches, 0u)
+      << what << ": " << workloads::scheduler_label(c.kind) << " seed "
+      << c.seed;
+  return cached;
 }
 
 TEST(SchedulerCaches, SeededFaultSweepIsByteIdenticalUncached) {
   for (const SchedulerKind kind : kSchedulers) {
+    std::uint64_t reads = 0;
+    std::uint64_t speculating = 0;
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-      expect_same_bytes({kind, seed, sweep_plan(seed, 12), {},
-                         sweep_bench(16384.0, 0.0)},
-                        "replicated");
+      const ForwardedRun run = expect_same_bytes(
+          {kind, seed, sweep_plan(seed, 12), {}, sweep_bench(16384.0, 0.0)},
+          "replicated");
+      reads += run.aged_reads;
+      speculating += run.speculating_reads;
     }
+    // The checks above saw reads, and LATE's saw speculative copies.
+    const std::string label = workloads::scheduler_label(kind);
+    EXPECT_EQ(reads > 0, reads_running_maps(kind)) << label;
+    EXPECT_EQ(speculating > 0, kind == SchedulerKind::kHadoop) << label;
   }
 }
 
@@ -340,51 +417,69 @@ TEST(SchedulerCaches, FlexMapSizeGuardIsByteIdenticalUncached) {
   // FlexMap's size guard judges them against the cached max share.
   const SweepCase c{SchedulerKind::kFlexMap, 3, sweep_plan(3, 12), {},
                     sweep_bench(16384.0, 1.2)};
-  const SweepRun cached = run_sweep_case(c, true);
-  const SweepRun uncached = run_sweep_case(c, false);
+  const ForwardedRun cached = run_sweep_case(c, true);
+  const ForwardedRun uncached = run_sweep_case(c, false);
   EXPECT_GT(cached.heavy_reducer_offers, 0u);
   EXPECT_EQ(cached.heavy_reducer_offers, uncached.heavy_reducer_offers);
   EXPECT_EQ(cached.json, uncached.json);
 }
 
-/// One bench_scale job at 256 nodes × 25 tasks/node (seed 42).
+/// One bench_scale job at 256 nodes × 25 tasks/node (seed 42), and the
+/// running-map state its policy read.
 struct ScaleRun {
   std::string json;
   std::uint64_t snapshots = 0;  ///< running_maps() calls.
+  std::uint64_t snapshot_entries = 0;
+  std::uint64_t aged_reads = 0;
+  std::uint64_t aged_entries = 0;
+  std::uint64_t aged_mismatches = 0;
 };
 
-ScaleRun run_scale_grid(SchedulerKind kind, bool forward_versions) {
+ScaleRun run_scale_grid(SchedulerKind kind, bool forward) {
   auto cluster = bench::make_scale_cluster(256);
   workloads::RunConfig config;
   config.params.seed = 42;
   ForwardingScheduler scheduler(workloads::make_scheduler(kind, 42),
-                                forward_versions);
+                                forward);
   const auto result =
       workloads::run_job(cluster, bench::make_scale_benchmark(256, 25),
                          InputScale::kSmall, scheduler, config);
-  return {mr::job_result_json(result, cluster),
-          scheduler.context().running_maps_calls};
+  const ForwardingContext& ctx = scheduler.context();
+  return {mr::job_result_json(result, cluster), ctx.running_maps_calls,
+          ctx.running_maps_entries, ctx.aged_reads, ctx.aged_entries,
+          ctx.aged_mismatches};
 }
 
 TEST(SchedulerCaches, SnapshotCountsAtScaleGridArePinned) {
   // Deterministic work, not host time. Uncached, LATE and SkewTune build
-  // one snapshot per offer that reaches their kernel, as both did before
-  // the caches existed; cached, at most one per (now, map version).
-  // FlexMap's sizing needs none.
+  // one full snapshot per offer that reaches their kernel, as both did
+  // before the caches existed. Cached, they read once per (now, map
+  // version), and each read hands back only the maps old enough to judge
+  // (LATE 15 s, SkewTune 5 s). Before the aged reads, each cached read was
+  // a full snapshot of every running map: `full_entries`, measured on the
+  // same grid. FlexMap's sizing reads none.
   const struct {
     SchedulerKind kind;
     std::uint64_t uncached;
-    std::uint64_t cached_bound;
-  } kPins[] = {{SchedulerKind::kHadoop, 2443, 1146},
-               {SchedulerKind::kSkewTune, 6375, 1419},
-               {SchedulerKind::kFlexMap, 0, 0}};
+    std::uint64_t uncached_entries;
+    std::uint64_t reads;
+    std::uint64_t full_entries;
+    std::uint64_t aged_entries;
+  } kPins[] = {{SchedulerKind::kHadoop, 2443, 909939, 1146, 616618, 69874},
+               {SchedulerKind::kSkewTune, 6375, 4745760, 1419, 882633, 512308},
+               {SchedulerKind::kFlexMap, 0, 0, 0, 0, 0}};
   for (const auto& pin : kPins) {
     const std::string label = workloads::scheduler_label(pin.kind);
     const ScaleRun cached = run_scale_grid(pin.kind, true);
     const ScaleRun uncached = run_scale_grid(pin.kind, false);
     EXPECT_EQ(cached.json, uncached.json) << label;
     EXPECT_EQ(uncached.snapshots, pin.uncached) << label;
-    EXPECT_LE(cached.snapshots, pin.cached_bound) << label;
+    EXPECT_EQ(uncached.snapshot_entries, pin.uncached_entries) << label;
+    EXPECT_EQ(cached.snapshots, 0u) << label;
+    EXPECT_EQ(cached.aged_reads, pin.reads) << label;
+    EXPECT_EQ(cached.aged_entries, pin.aged_entries) << label;
+    EXPECT_LE(cached.aged_entries, pin.full_entries) << label;
+    EXPECT_EQ(cached.aged_mismatches, 0u) << label;
   }
 }
 
