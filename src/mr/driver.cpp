@@ -1841,31 +1841,48 @@ std::vector<RunningMapInfo> JobDriver::running_maps() const {
   return out;
 }
 
+void JobDriver::append_running_map(const MapTask& task, SimTime now,
+                                   std::vector<RunningMapInfo>& out) const {
+  // Filled in place: building the entry in a local and copying it in cost
+  // about a third more per call (GCC 12, Release, x86-64).
+  RunningMapInfo& info = out.emplace_back();
+  info.id = task.id;
+  info.node = task.node;
+  info.size_mib = task.size;
+  info.computing = task.phase == TaskPhase::kComputing;
+  info.bytes_read = info.computing ? task.integrator->done(now) : 0.0;
+  info.progress = task.size > 0 ? info.bytes_read / task.size : 0.0;
+  info.dispatch_time = task.dispatch_time;
+  info.speculative = task.speculative;
+  info.has_twin = task.twin != kInvalidTask;
+}
+
 std::size_t JobDriver::aged_running_maps(
     SimDuration min_age, std::vector<RunningMapInfo>& out) const {
   FLEXMR_PROF_SCOPE("mr/running_maps");
-  // The hottest driver scan: LATE and SkewTune read it once per (now,
+  // The hottest driver scan: LATE reads it once per (now,
   // map_state_version()). Dispatch times ascend along the live list, so
-  // the first map younger than `min_age` ends the walk. Entries are
-  // filled in place: building each in a local and copying it in cost
-  // about a third more per call (GCC 12, Release, x86-64).
+  // the first map younger than `min_age` ends the walk.
   const SimTime now = sim_->now();
   out.clear();
   for (const TaskId id : live_map_ids_) {
     const MapTask& task = *map_tasks_[id];
     if (now - task.dispatch_time < min_age) break;
-    RunningMapInfo& info = out.emplace_back();
-    info.id = task.id;
-    info.node = task.node;
-    info.size_mib = task.size;
-    info.computing = task.phase == TaskPhase::kComputing;
-    info.bytes_read = info.computing ? task.integrator->done(now) : 0.0;
-    info.progress = task.size > 0 ? info.bytes_read / task.size : 0.0;
-    info.dispatch_time = task.dispatch_time;
-    info.speculative = task.speculative;
-    info.has_twin = task.twin != kInvalidTask;
+    append_running_map(task, now, out);
   }
   return running_speculative_count_;
+}
+
+void JobDriver::running_maps_among(const std::vector<TaskId>& ids,
+                                   std::vector<RunningMapInfo>& out) const {
+  FLEXMR_PROF_SCOPE("mr/running_maps");
+  const SimTime now = sim_->now();
+  out.clear();
+  for (const TaskId id : ids) {
+    FLEXMR_ASSERT(id < map_tasks_.size());
+    const MapTask& task = *map_tasks_[id];
+    if (task.phase != TaskPhase::kDone) append_running_map(task, now, out);
+  }
 }
 
 std::optional<MiBps> JobDriver::observed_ips(NodeId node) const {

@@ -219,6 +219,8 @@ class JobDriver final : public DriverContext {
   std::vector<RunningMapInfo> running_maps() const override;
   std::size_t aged_running_maps(
       SimDuration min_age, std::vector<RunningMapInfo>& out) const override;
+  void running_maps_among(const std::vector<TaskId>& ids,
+                          std::vector<RunningMapInfo>& out) const override;
   std::uint64_t map_state_version() const override {
     return map_state_version_;
   }
@@ -339,6 +341,9 @@ class JobDriver final : public DriverContext {
   MiB end_map_attempt(MapTask& task);
   /// Marks `task` kDone: it leaves live_map_ids_ and the running counts.
   void retire_map(MapTask& task);
+  /// Appends running map `task`'s entry, as seen at `now`, to `out`.
+  void append_running_map(const MapTask& task, SimTime now,
+                          std::vector<RunningMapInfo>& out) const;
   /// Ends `task` without credit: records it as `status`, closes its span
   /// with `reason` and bumps `counter` (null = none). The caller releases
   /// the slot. Returns the consumed input.

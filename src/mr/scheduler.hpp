@@ -14,6 +14,7 @@
 // machine multipliers — mirroring what a real AM can know.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -89,9 +90,9 @@ class DriverContext {
   /// The running maps at least `min_age` old (now() - dispatch_time >=
   /// min_age), written into the caller's `out` in running_maps() order.
   /// Returns the number of running speculative copies of any age. LATE
-  /// and SkewTune read through this on every completion-triggered offer
-  /// into buffers of their own; JobDriver's override stops at the first
-  /// map younger than `min_age`. The default derives both answers from
+  /// reads through this on every completion-triggered offer into buffers
+  /// of its own; JobDriver's override stops at the first map younger than
+  /// `min_age`. The default derives both answers from
   /// running_maps(), so a forwarding context that does not forward this
   /// stays correct.
   virtual std::size_t aged_running_maps(
@@ -106,9 +107,25 @@ class DriverContext {
     return speculating;
   }
 
+  /// The running maps among `ids` (ascending task ids), written into the
+  /// caller's `out` in running_maps() order; finished ids are skipped.
+  /// SkewTune reads only the maps whose time-left could have reached its
+  /// benefit threshold through this. JobDriver's override costs
+  /// O(ids.size()); the default filters one running_maps() read, so a
+  /// forwarding context that does not forward this stays correct.
+  virtual void running_maps_among(const std::vector<TaskId>& ids,
+                                  std::vector<RunningMapInfo>& out) const {
+    out.clear();
+    for (const RunningMapInfo& info : running_maps()) {
+      if (std::binary_search(ids.begin(), ids.end(), info.id)) {
+        out.push_back(info);
+      }
+    }
+  }
+
   /// State versions a policy may key cached derivations on. The map
-  /// version changes whenever running_maps() (or aged_running_maps())
-  /// could return different entries at the same now(); the cluster-view
+  /// version changes whenever running_maps() (or the reads derived from
+  /// it) could return different entries at the same now(); the cluster-view
   /// version whenever observed_ips() or node_alive() could answer
   /// differently. 0 means "not tracked: recompute" — the default, so a
   /// forwarding context that does not forward them stays correct, only

@@ -1,6 +1,7 @@
 #include "sched/skewtune.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -9,35 +10,47 @@
 
 namespace flexmr::sched {
 
+namespace {
+
+/// Wake times are moved this fraction earlier, far more than the rounding
+/// of the time-left arithmetic (a few ulps), so no map wakes late. A wake
+/// at `now` stays due. Simulated time is never negative.
+constexpr double kWakeMargin = 1e-9;
+
+}  // namespace
+
 void SkewTuneScheduler::on_job_start(mr::DriverContext& ctx) {
   StockHadoopScheduler::on_job_start(ctx);
   chunks_.clear();
-  mitigation_task_.clear();
   pending_is_mitigation_ = false;
   straggler_ = {};
+  wakes_.clear();
 }
 
 void SkewTuneScheduler::on_recovery(
     mr::DriverContext& ctx, const recover::RecoveredState& recovered) {
   StockHadoopScheduler::on_recovery(ctx, recovered);
   // The virtual on_job_start re-entered above already cleared chunks_ /
-  // mitigation_task_ / pending_is_mitigation_ / straggler_; assert the
-  // contract so a future on_job_start refactor cannot silently leak
-  // pre-crash plans or a cached answer about the old attempt's tasks.
-  FLEXMR_ASSERT(chunks_.empty() && mitigation_task_.empty() &&
-                !pending_is_mitigation_ &&
-                straggler_.map_version == 0);
+  // pending_is_mitigation_ / straggler_ / wakes_; assert the contract so a
+  // future on_job_start refactor cannot silently leak pre-crash plans or
+  // what was learned about the old attempt's tasks.
+  FLEXMR_ASSERT(chunks_.empty() && !pending_is_mitigation_ &&
+                straggler_.map_version == 0 && wakes_.empty());
 }
 
 void SkewTuneScheduler::on_map_dispatch(mr::DriverContext& ctx, TaskId task,
                                         NodeId node) {
-  (void)ctx;
   (void)node;
   if (pending_is_mitigation_) {
-    if (task >= mitigation_task_.size()) mitigation_task_.resize(task + 1, 0);
-    mitigation_task_[task] = 1;
     pending_is_mitigation_ = false;
+    return;
   }
+  wake_at(ctx.now() + options_.min_runtime_s, task);  // old enough to judge
+}
+
+void SkewTuneScheduler::wake_at(SimTime at, TaskId task) {
+  wakes_.push_back({at * (1.0 - kWakeMargin), task});
+  std::push_heap(wakes_.begin(), wakes_.end(), std::greater<>{});
 }
 
 void SkewTuneScheduler::on_node_failed(
@@ -74,30 +87,47 @@ TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) {
     return straggler_.task;
   }
   FLEXMR_PROF_SCOPE("sched/skewtune_argmax");
-  ctx.aged_running_maps(options_.min_runtime_s, running_);
-  // The strict `>` keeps the *first* maximum in snapshot order.
+  due_.clear();
+  while (!wakes_.empty() && wakes_.front().at <= now) {
+    std::pop_heap(wakes_.begin(), wakes_.end(), std::greater<>{});
+    due_.push_back(wakes_.back().id);
+    wakes_.pop_back();
+  }
+  std::sort(due_.begin(), due_.end());
+  ctx.running_maps_among(due_, running_);
+  const double threshold =
+      options_.min_benefit_factor * options_.repartition_overhead_s;
+  // The strict `>` keeps the *first* maximum in id order.
   TaskId best = kInvalidTask;
   double best_time_left = 0;
   for (const auto& info : running_) {
-    if (!info.computing) continue;
-    if (info.id < mitigation_task_.size() && mitigation_task_[info.id]) {
-      continue;
-    }
     if (info.size_mib <= 2 * kBlockUnitMiB) continue;  // nothing to split
-    const double rate = info.progress / (now - info.dispatch_time);
-    if (rate <= 0) continue;
-    const double time_left = (1.0 - info.progress) / rate;
-    // Mitigation must buy more than it costs. With k helpers the tail
-    // shrinks to ~time_left/k but every helper pays the repartition
-    // overhead; SkewTune's planner approximates this with a fixed factor.
-    if (time_left <
-        options_.min_benefit_factor * options_.repartition_overhead_s) {
-      continue;
+    const SimDuration age = now - info.dispatch_time;
+    const double rate = info.computing && age >= options_.min_runtime_s
+                            ? info.progress / age
+                            : 0.0;
+    SimTime wake = now;  // due again on the next search
+    if (rate > 0) {
+      const double time_left = (1.0 - info.progress) / rate;
+      // Mitigation must buy more than it costs. With k helpers the tail
+      // shrinks to ~time_left/k but every helper pays the repartition
+      // overhead; SkewTune's planner approximates this with a fixed
+      // factor.
+      if (time_left >= threshold) {
+        if (time_left > best_time_left) {
+          best_time_left = time_left;
+          best = info.id;
+        }
+      } else {
+        // Progress never falls, so from here on the time-left is at most
+        // (1 - progress) / progress * age: under the threshold until the
+        // age reaches threshold / that factor.
+        const double factor = (1.0 - info.progress) / info.progress;
+        if (factor <= 0) continue;  // fully read: it stays at 0
+        wake = info.dispatch_time + threshold / factor;
+      }
     }
-    if (time_left > best_time_left) {
-      best_time_left = time_left;
-      best = info.id;
-    }
+    wake_at(wake, info.id);
   }
   straggler_ = {now, version, best};
   return best;
@@ -105,17 +135,29 @@ TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) {
 
 std::optional<mr::MapLaunch> SkewTuneScheduler::serve_chunk(
     mr::DriverContext& ctx) {
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
+  hdfs::BlockLocationIndex& index = ctx.index();
+  for (std::size_t i = 0; i < chunks_.size();) {
     auto& chunk = chunks_[i];
     const bool readable =
         std::all_of(chunk.begin(), chunk.end(), [&](BlockUnitId bu) {
           return ctx.block_readable(ctx.layout().bus[bu].block);
         });
-    if (!readable) continue;
+    if (!readable) {
+      ++i;
+      continue;
+    }
+    // While the chunk waited, a failure may have re-pended its block and
+    // the stock path launched the block's free units, these among them.
+    std::erase_if(chunk, [&](BlockUnitId bu) { return index.taken(bu); });
+    const auto at = chunks_.begin() + static_cast<std::ptrdiff_t>(i);
+    if (chunk.empty()) {
+      chunks_.erase(at);
+      continue;
+    }
     mr::MapLaunch launch;
     launch.bus = std::move(chunk);
-    chunks_.erase(chunks_.begin() + static_cast<std::ptrdiff_t>(i));
-    ctx.index().take_units(launch.bus);
+    chunks_.erase(at);
+    index.take_units(launch.bus);
     launch.extra_startup_s = options_.repartition_overhead_s;
     pending_is_mitigation_ = true;
     return launch;

@@ -44,11 +44,10 @@ class SkewTuneScheduler final : public StockHadoopScheduler {
   std::string name() const override { return "skewtune"; }
 
   void on_job_start(mr::DriverContext& ctx) override;
-  /// Mitigation state (planned chunks, mitigation-task ids) is transient
-  /// policy state deliberately NOT journaled: a restarted AM re-plans
-  /// mitigation from live observation. The base recovery rebuilds the
-  /// pending pool; on_job_start (virtually re-entered by it) clears the
-  /// queues. Killed mitigation chunks simply re-pend as part of their
+  /// Mitigation state (planned chunks, the wake heap) is transient policy
+  /// state deliberately NOT journaled: a restarted AM re-plans mitigation
+  /// from live observation. The base recovery rebuilds the pending pool;
+  /// on_job_start (virtually re-entered by it) clears the queues. Killed mitigation chunks simply re-pend as part of their
   /// block's free remainder.
   void on_recovery(mr::DriverContext& ctx,
                    const recover::RecoveredState& recovered) override;
@@ -67,22 +66,25 @@ class SkewTuneScheduler final : public StockHadoopScheduler {
 
  private:
   /// Picks the straggler to mitigate; returns kInvalidTask if none is
-  /// worth it. The answer is cached per (now, map version): its only other
-  /// input, the mitigation flags, changes right after a dispatch, which
-  /// moves the version.
+  /// worth it. Reads only the maps whose wake time has come. The answer is
+  /// cached per (now, map version): its only other input, the wake heap,
+  /// gains entries right after a dispatch, which moves the version.
   TaskId find_straggler(mr::DriverContext& ctx);
 
+  /// Makes `task` due at `at`, moved earlier by a rounding margin.
+  void wake_at(SimTime at, TaskId task);
+
   /// Serves the first chunk whose input blocks are still readable (a chunk
-  /// of a replica-less block stays queued until a holder rejoins).
+  /// of a replica-less block stays queued until a holder rejoins), less
+  /// any units another task took meanwhile; a chunk left empty is dropped.
   std::optional<mr::MapLaunch> serve_chunk(mr::DriverContext& ctx);
 
   SkewTuneOptions options_;
   std::deque<std::vector<BlockUnitId>> chunks_;  ///< Planned mitigation work.
-  /// Per TaskId (dense dispatch indices), 1 for tasks created by
-  /// mitigation — never re-mitigated (SkewTune splits a straggler once;
+  /// The launch just returned is a mitigation chunk. Its task is never
+  /// tracked, so never re-mitigated (SkewTune splits a straggler once;
   /// recursively splitting its own repair tasks would pay the repartition
   /// overhead over and over).
-  std::vector<char> mitigation_task_;
   bool pending_is_mitigation_ = false;
   struct StragglerCache {
     SimTime now = 0;
@@ -90,7 +92,19 @@ class SkewTuneScheduler final : public StockHadoopScheduler {
     TaskId task = kInvalidTask;
   };
   StragglerCache straggler_;
-  /// find_straggler's scratch: the maps at least min_runtime_s old.
+  /// A tracked map and the earliest time its time-left could pass the
+  /// benefit threshold.
+  struct Wake {
+    SimTime at;
+    TaskId id;
+    bool operator>(const Wake& other) const { return at > other.at; }
+  };
+  /// Min-heap on `at` of the non-mitigation maps dispatched and not yet
+  /// seen finished or too small to split (DESIGN.md §8, "Wake-time
+  /// straggler search").
+  std::vector<Wake> wakes_;
+  /// find_straggler's scratch: the ids due, ascending, and their maps.
+  std::vector<TaskId> due_;
   std::vector<mr::RunningMapInfo> running_;
 };
 

@@ -2,12 +2,13 @@
 // threshold, SkewTune's straggler and FlexMap's capacity sums are keyed on
 // the driver's state versions (DriverContext::map_state_version and
 // cluster_view_version). A context that reports both versions as 0 ("not
-// tracked") and leaves aged_running_maps() to DriverContext's default puts
-// every policy on its uncached, full-snapshot path: the reference. These
-// tests run the same jobs both ways and require byte-identical results;
-// the forwarding side also checks every aged read against the default.
-// They pin how much running-map state each path reads on bench_scale's
-// 256-node grid.
+// tracked") and leaves aged_running_maps() and running_maps_among() to
+// DriverContext's defaults puts every policy on its uncached,
+// full-snapshot path: the reference. These tests run the same jobs both
+// ways and require byte-identical results; the forwarding side also checks
+// every read against the default. They pin how much running-map state
+// each path reads on bench_scale's 256-node grid, and SkewTune's answers
+// against hashes taken before its search skipped any map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,10 +39,10 @@ bool same_entry(const mr::RunningMapInfo& a, const mr::RunningMapInfo& b) {
 
 /// The DriverContext a wrapped policy sees: every accessor forwards to the
 /// real driver, bound per callback. Unless `forward` is set it reports
-/// both state versions as 0 and answers aged_running_maps() with
-/// DriverContext's default, which reads running_maps(). With `forward`
-/// set it forwards both, and checks every aged read against the default
-/// computed on the real driver.
+/// both state versions as 0 and answers aged_running_maps() and
+/// running_maps_among() with DriverContext's defaults, which read
+/// running_maps(). With `forward` set it forwards all four, and checks
+/// every read against the default computed on the real driver.
 class ForwardingContext final : public mr::DriverContext {
  public:
   explicit ForwardingContext(bool forward) : forward_(forward) {}
@@ -54,10 +55,13 @@ class ForwardingContext final : public mr::DriverContext {
   // Counted from const accessors, hence mutable.
   mutable std::uint64_t running_maps_calls = 0;
   mutable std::uint64_t running_maps_entries = 0;
-  mutable std::uint64_t aged_reads = 0;          ///< Forwarded reads.
+  mutable std::uint64_t aged_reads = 0;          ///< Forwarded aged reads.
   mutable std::uint64_t aged_entries = 0;        ///< Entries they returned.
-  mutable std::uint64_t aged_mismatches = 0;     ///< Reads != the default.
   mutable std::uint64_t speculating_reads = 0;   ///< Reads counting a copy.
+  mutable std::uint64_t id_reads = 0;      ///< Forwarded reads by id.
+  mutable std::uint64_t ids_asked = 0;     ///< Ids they asked for.
+  mutable std::uint64_t id_entries = 0;    ///< Entries they returned.
+  mutable std::uint64_t mismatches = 0;    ///< Reads != the default.
 
   SimTime now() const override { return inner_->now(); }
   const mr::JobSpec& job() const override { return inner_->job(); }
@@ -95,9 +99,24 @@ class ForwardingContext final : public mr::DriverContext {
     if (speculating != expected_speculating ||
         !std::equal(out.begin(), out.end(), expected.begin(), expected.end(),
                     same_entry)) {
-      ++aged_mismatches;
+      ++mismatches;
     }
     return speculating;
+  }
+  void running_maps_among(
+      const std::vector<TaskId>& ids,
+      std::vector<mr::RunningMapInfo>& out) const override {
+    if (!forward_) return DriverContext::running_maps_among(ids, out);
+    inner_->running_maps_among(ids, out);
+    ++id_reads;
+    ids_asked += ids.size();
+    id_entries += out.size();
+    std::vector<mr::RunningMapInfo> expected;
+    inner_->DriverContext::running_maps_among(ids, expected);
+    if (!std::equal(out.begin(), out.end(), expected.begin(), expected.end(),
+                    same_entry)) {
+      ++mismatches;
+    }
   }
   std::uint64_t map_state_version() const override {
     return forward_ ? inner_->map_state_version() : 0;
@@ -219,15 +238,16 @@ struct ForwardedRun {
   std::string json;
   std::uint64_t heavy_reducer_offers = 0;
   std::uint64_t aged_reads = 0;
-  std::uint64_t aged_mismatches = 0;
   std::uint64_t speculating_reads = 0;
+  std::uint64_t id_reads = 0;
+  std::uint64_t mismatches = 0;
 };
 
 ForwardedRun forwarded_run(const ForwardingScheduler& scheduler,
                            std::string json) {
   const ForwardingContext& ctx = scheduler.context();
   return {std::move(json), scheduler.heavy_reducer_offers, ctx.aged_reads,
-          ctx.aged_mismatches, ctx.speculating_reads};
+          ctx.speculating_reads, ctx.id_reads, ctx.mismatches};
 }
 
 /// One golden-configuration run (the paper's 20-node virtual cluster, WC,
@@ -253,8 +273,12 @@ std::string run_uncached(SchedulerKind kind, MiB block_size,
   return run_golden_config(kind, block_size, plan, false).json;
 }
 
-bool reads_running_maps(SchedulerKind kind) {
-  return kind == SchedulerKind::kHadoop || kind == SchedulerKind::kSkewTune;
+/// LATE reads the maps old enough to judge; SkewTune reads by id.
+bool reads_aged_maps(SchedulerKind kind) {
+  return kind == SchedulerKind::kHadoop;
+}
+bool reads_maps_by_id(SchedulerKind kind) {
+  return kind == SchedulerKind::kSkewTune;
 }
 
 TEST(SchedulerCaches, UncachedPathReproducesEveryGolden) {
@@ -294,17 +318,18 @@ TEST(SchedulerCaches, AmRestartReadsNoPredecessorCache) {
     EXPECT_EQ(cached.am_restarts, 2u) << label;
     const std::string uncached = run_uncached(kind, kDefaultBlockMiB, plan);
     EXPECT_EQ(mr::job_result_json(cached, cluster), uncached) << label;
-    // Every aged read of all three attempts matches the default.
+    // Every read of all three attempts matches the default.
     const ForwardedRun forwarded =
         run_golden_config(kind, kDefaultBlockMiB, plan, true);
     EXPECT_EQ(forwarded.json, uncached) << label;
-    EXPECT_EQ(forwarded.aged_mismatches, 0u) << label;
-    EXPECT_EQ(forwarded.aged_reads > 0, reads_running_maps(kind)) << label;
+    EXPECT_EQ(forwarded.mismatches, 0u) << label;
+    EXPECT_EQ(forwarded.aged_reads > 0, reads_aged_maps(kind)) << label;
+    EXPECT_EQ(forwarded.id_reads > 0, reads_maps_by_id(kind)) << label;
   }
 }
 
-/// One seeded fault run on a 12-node mixed cluster, cut at 5000
-/// simulated seconds; aborted and stalled runs would compare too.
+/// One seeded fault run, cut at 5000 simulated seconds; aborted and
+/// stalled runs would compare too.
 struct SweepCase {
   SchedulerKind kind;
   std::uint64_t seed;
@@ -313,14 +338,8 @@ struct SweepCase {
   workloads::Benchmark bench;
 };
 
-ForwardedRun run_sweep_case(const SweepCase& c, bool forward) {
-  // Slow nodes first: they are offered first, so heavy reducers reach
-  // them while their quota lasts.
-  auto cluster = cluster::ClusterBuilder()
-                     .add({.model = "slow", .base_ips = 4.0, .slots = 4}, 4)
-                     .add({.model = "mid", .base_ips = 11.0, .slots = 4}, 5)
-                     .add({.model = "fast", .base_ips = 14.0, .slots = 4}, 3)
-                     .build();
+ForwardedRun run_case_on(cluster::Cluster& cluster, const SweepCase& c,
+                         bool forward, mr::SimParams params = {}) {
   const auto layout = workloads::make_layout(
       c.bench, InputScale::kSmall, cluster.num_nodes(), kDefaultBlockMiB, 3,
       c.seed, c.storage);
@@ -328,7 +347,6 @@ ForwardedRun run_sweep_case(const SweepCase& c, bool forward) {
   ForwardingScheduler scheduler(workloads::make_scheduler(c.kind, c.seed),
                                 forward);
   Simulator sim;
-  mr::SimParams params;
   params.seed = c.seed;
   mr::JobDriver driver(sim, cluster, layout, spec, params, scheduler);
   driver.install_faults(c.plan);
@@ -337,6 +355,18 @@ ForwardedRun run_sweep_case(const SweepCase& c, bool forward) {
   }
   return forwarded_run(scheduler,
                        mr::job_result_json(driver.result(), cluster));
+}
+
+/// `c` on a 12-node mixed cluster.
+ForwardedRun run_sweep_case(const SweepCase& c, bool forward) {
+  // Slow nodes first: they are offered first, so heavy reducers reach
+  // them while their quota lasts.
+  auto cluster = cluster::ClusterBuilder()
+                     .add({.model = "slow", .base_ips = 4.0, .slots = 4}, 4)
+                     .add({.model = "mid", .base_ips = 11.0, .slots = 4}, 5)
+                     .add({.model = "fast", .base_ips = 14.0, .slots = 4}, 3)
+                     .build();
+  return run_case_on(cluster, c, forward);
 }
 
 /// 1–3 silent crashes between 20 and 120 s, each rejoining 30–90 s later,
@@ -371,14 +401,14 @@ workloads::Benchmark sweep_bench(MiB input, double key_skew) {
 }
 
 /// Runs `c` forwarded and on the reference path; requires the same bytes
-/// and every forwarded aged read equal to the default's answer.
+/// and every forwarded read equal to the default's answer.
 ForwardedRun expect_same_bytes(const SweepCase& c, const std::string& what) {
   const ForwardedRun cached = run_sweep_case(c, true);
   const ForwardedRun uncached = run_sweep_case(c, false);
   EXPECT_EQ(cached.json, uncached.json)
       << what << ": " << workloads::scheduler_label(c.kind) << " seed "
       << c.seed;
-  EXPECT_EQ(cached.aged_mismatches, 0u)
+  EXPECT_EQ(cached.mismatches, 0u)
       << what << ": " << workloads::scheduler_label(c.kind) << " seed "
       << c.seed;
   return cached;
@@ -386,18 +416,21 @@ ForwardedRun expect_same_bytes(const SweepCase& c, const std::string& what) {
 
 TEST(SchedulerCaches, SeededFaultSweepIsByteIdenticalUncached) {
   for (const SchedulerKind kind : kSchedulers) {
-    std::uint64_t reads = 0;
+    std::uint64_t aged_reads = 0;
+    std::uint64_t id_reads = 0;
     std::uint64_t speculating = 0;
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
       const ForwardedRun run = expect_same_bytes(
           {kind, seed, sweep_plan(seed, 12), {}, sweep_bench(16384.0, 0.0)},
           "replicated");
-      reads += run.aged_reads;
+      aged_reads += run.aged_reads;
+      id_reads += run.id_reads;
       speculating += run.speculating_reads;
     }
     // The checks above saw reads, and LATE's saw speculative copies.
     const std::string label = workloads::scheduler_label(kind);
-    EXPECT_EQ(reads > 0, reads_running_maps(kind)) << label;
+    EXPECT_EQ(aged_reads > 0, reads_aged_maps(kind)) << label;
+    EXPECT_EQ(id_reads > 0, reads_maps_by_id(kind)) << label;
     EXPECT_EQ(speculating > 0, kind == SchedulerKind::kHadoop) << label;
   }
 }
@@ -432,7 +465,10 @@ struct ScaleRun {
   std::uint64_t snapshot_entries = 0;
   std::uint64_t aged_reads = 0;
   std::uint64_t aged_entries = 0;
-  std::uint64_t aged_mismatches = 0;
+  std::uint64_t id_reads = 0;
+  std::uint64_t ids_asked = 0;
+  std::uint64_t id_entries = 0;
+  std::uint64_t mismatches = 0;
 };
 
 ScaleRun run_scale_grid(SchedulerKind kind, bool forward) {
@@ -445,29 +481,55 @@ ScaleRun run_scale_grid(SchedulerKind kind, bool forward) {
       workloads::run_job(cluster, bench::make_scale_benchmark(256, 25),
                          InputScale::kSmall, scheduler, config);
   const ForwardingContext& ctx = scheduler.context();
-  return {mr::job_result_json(result, cluster), ctx.running_maps_calls,
-          ctx.running_maps_entries, ctx.aged_reads, ctx.aged_entries,
-          ctx.aged_mismatches};
+  return {mr::job_result_json(result, cluster),
+          ctx.running_maps_calls,
+          ctx.running_maps_entries,
+          ctx.aged_reads,
+          ctx.aged_entries,
+          ctx.id_reads,
+          ctx.ids_asked,
+          ctx.id_entries,
+          ctx.mismatches};
 }
 
 TEST(SchedulerCaches, SnapshotCountsAtScaleGridArePinned) {
   // Deterministic work, not host time. Uncached, LATE and SkewTune build
   // one full snapshot per offer that reaches their kernel, as both did
   // before the caches existed. Cached, they read once per (now, map
-  // version), and each read hands back only the maps old enough to judge
-  // (LATE 15 s, SkewTune 5 s). Before the aged reads, each cached read was
-  // a full snapshot of every running map: `full_entries`, measured on the
+  // version). LATE's aged reads hand back only the maps old enough to
+  // judge (15 s). SkewTune reads by id only the maps whose time-left
+  // could have reached its benefit threshold since it last read them; its
+  // aged reads of every map at least 5 s old returned 512,308 entries over
+  // the same 1,419 reads. Before the aged reads, each cached read was a
+  // full snapshot of every running map: `full_entries`, measured on the
   // same grid. FlexMap's sizing reads none.
   const struct {
     SchedulerKind kind;
     std::uint64_t uncached;
     std::uint64_t uncached_entries;
-    std::uint64_t reads;
     std::uint64_t full_entries;
-    std::uint64_t aged_entries;
-  } kPins[] = {{SchedulerKind::kHadoop, 2443, 909939, 1146, 616618, 69874},
-               {SchedulerKind::kSkewTune, 6375, 4745760, 1419, 882633, 512308},
-               {SchedulerKind::kFlexMap, 0, 0, 0, 0, 0}};
+    std::uint64_t aged_reads = 0;
+    std::uint64_t aged_entries = 0;
+    std::uint64_t id_reads = 0;
+    std::uint64_t ids_asked = 0;
+    std::uint64_t id_entries = 0;
+  } kPins[] = {{.kind = SchedulerKind::kHadoop,
+                .uncached = 2443,
+                .uncached_entries = 909939,
+                .full_entries = 616618,
+                .aged_reads = 1146,
+                .aged_entries = 69874},
+               {.kind = SchedulerKind::kSkewTune,
+                .uncached = 6375,
+                .uncached_entries = 4745760,
+                .full_entries = 882633,
+                .id_reads = 1419,
+                .ids_asked = 7170,
+                .id_entries = 1386},
+               {.kind = SchedulerKind::kFlexMap,
+                .uncached = 0,
+                .uncached_entries = 0,
+                .full_entries = 0}};
   for (const auto& pin : kPins) {
     const std::string label = workloads::scheduler_label(pin.kind);
     const ScaleRun cached = run_scale_grid(pin.kind, true);
@@ -476,10 +538,78 @@ TEST(SchedulerCaches, SnapshotCountsAtScaleGridArePinned) {
     EXPECT_EQ(uncached.snapshots, pin.uncached) << label;
     EXPECT_EQ(uncached.snapshot_entries, pin.uncached_entries) << label;
     EXPECT_EQ(cached.snapshots, 0u) << label;
-    EXPECT_EQ(cached.aged_reads, pin.reads) << label;
+    EXPECT_EQ(cached.aged_reads, pin.aged_reads) << label;
     EXPECT_EQ(cached.aged_entries, pin.aged_entries) << label;
-    EXPECT_LE(cached.aged_entries, pin.full_entries) << label;
-    EXPECT_EQ(cached.aged_mismatches, 0u) << label;
+    EXPECT_EQ(cached.id_reads, pin.id_reads) << label;
+    EXPECT_EQ(cached.ids_asked, pin.ids_asked) << label;
+    EXPECT_EQ(cached.id_entries, pin.id_entries) << label;
+    EXPECT_LE(cached.aged_entries + cached.id_entries, pin.full_entries)
+        << label;
+    EXPECT_EQ(cached.mismatches, 0u) << label;
+  }
+}
+
+/// A run built to strain SkewTune's straggler search: three quarters of
+/// the nodes flip between idle and busy every few seconds, so maps slow
+/// down after they were read, and four silent crashes at 60-100 s, while
+/// maps run, freeze the maps on their nodes at rate 0 until heartbeat
+/// expiry declares them lost. With `jvm_startup_s` above SkewTune's 5 s minimum
+/// runtime, maps are still starting when they are first judged.
+ForwardedRun run_bound_strain(SimDuration jvm_startup_s, bool forward) {
+  cluster::OnOffInterference::Params flicker;
+  flicker.mean_idle_s = 4.0;
+  flicker.mean_busy_s = 3.0;
+  flicker.busy_lo = 0.05;
+  flicker.busy_hi = 0.4;
+  auto cluster =
+      cluster::ClusterBuilder()
+          .add({.model = "fast", .base_ips = 14.0, .slots = 4}, 4)
+          .add({.model = "mid", .base_ips = 11.0, .slots = 4}, 8,
+               cluster::on_off_interference(flicker))
+          .add({.model = "slow", .base_ips = 4.0, .slots = 4}, 4,
+               cluster::on_off_interference(flicker))
+          .build();
+  FaultPlan plan;
+  for (const auto& [node, at] : {std::pair<NodeId, SimTime>{6, 60.0},
+                                 {13, 80.0}, {9, 90.0}, {2, 100.0}}) {
+    plan.crashes.push_back(NodeCrash{node, at, at + 70.0, true});
+  }
+  mr::SimParams params;
+  params.jvm_startup_s = jvm_startup_s;
+  return run_case_on(
+      cluster,
+      {SchedulerKind::kSkewTune, 5, plan, {}, sweep_bench(16384.0, 0.0)},
+      forward, params);
+}
+
+TEST(SchedulerCaches, SkewTuneMatchesFullScanGoldens) {
+  // FNV-1a hashes of SkewTune-64m's JobResult JSON, captured while its
+  // straggler search still judged every running map at least 5 s old on
+  // each read. Both sides of the tests above run the current search, so
+  // these pins are what checks that it skips no map that could win.
+  EXPECT_EQ(golden::fnv1a(run_scale_grid(SchedulerKind::kSkewTune, true).json),
+            0x80b3ff67c78194dcull)
+      << "256-node scale grid";
+  constexpr std::uint64_t kSweep[] = {
+      0x715e3f317f2806a3ull, 0xe287c4de5a6584a1ull, 0xfbefbe4a252b9afeull,
+      0x5bf503620afec03cull, 0x5dcb0e52a5aeda07ull, 0xeec145a6d296d8f9ull,
+      0x13412b8f7ebcea43ull, 0xb47131109fdff0fbull, 0xcbc048b3174f6647ull,
+      0x326c34053e6b4626ull, 0x74cf5f685397f76aull, 0xc2d449a11617a2c7ull};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const SweepCase c{SchedulerKind::kSkewTune, seed, sweep_plan(seed, 12),
+                      {}, sweep_bench(16384.0, 0.0)};
+    EXPECT_EQ(golden::fnv1a(run_sweep_case(c, true).json), kSweep[seed - 1])
+        << "fault sweep seed " << seed;
+  }
+  const struct {
+    SimDuration jvm_startup_s;
+    std::uint64_t expected;
+  } kStrain[] = {{1.5, 0x7d97636e63a0c154ull}, {6.0, 0x5c2507f67f2a8e81ull}};
+  for (const auto& strain : kStrain) {
+    const ForwardedRun run = run_bound_strain(strain.jvm_startup_s, true);
+    EXPECT_EQ(golden::fnv1a(run.json), strain.expected)
+        << "bound strain, JVM startup " << strain.jvm_startup_s << " s";
+    EXPECT_EQ(run.json, run_bound_strain(strain.jvm_startup_s, false).json);
   }
 }
 

@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <set>
 
+#include "bench/scale_grid.hpp"
 #include "cluster/presets.hpp"
+#include "common/rng.hpp"
 #include "flexmap/flexmap_scheduler.hpp"
 #include "flexmap/reduce_placer.hpp"
 #include "workloads/experiment.hpp"
@@ -132,6 +134,75 @@ TEST(SkewTune, NoMitigationOnHomogeneousCluster) {
       result.count(mr::TaskKind::kMap, mr::TaskStatus::kPartialCompleted),
       0u);
   EXPECT_EQ(result.count(mr::TaskKind::kMap, mr::TaskStatus::kKilled), 0u);
+}
+
+/// perfbench's `faults` plan with node crashes in the map phase: ~3 % of
+/// the nodes crash silently between 15 and 45 s and rejoin 60-120 s later,
+/// ~6 % lose one disk in the first minute, and attempts, launches and
+/// fetches fail at 0.02-0.1 %.
+faults::FaultPlan early_crash_plan(std::uint32_t nodes, std::uint64_t seed) {
+  Rng rng(seed ^ 0x5eedfa17ull);
+  std::vector<NodeId> order(nodes);
+  for (NodeId n = 0; n < nodes; ++n) order[n] = n;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng() % i]);
+  }
+  const std::uint32_t n_crash = std::max(1u, nodes * 3 / 100);
+  const std::uint32_t n_disk = std::max(1u, nodes * 6 / 100);
+  faults::FaultPlan plan;
+  for (std::uint32_t i = 0; i < n_crash; ++i) {
+    const SimTime at = 15.0 + 30.0 * rng.uniform();
+    plan.crashes.push_back(
+        {order[i], at, at + 60.0 + 60.0 * rng.uniform(), true});
+  }
+  for (std::uint32_t i = 0; i < n_disk; ++i) {
+    plan.disk_faults.push_back(
+        {order[n_crash + i],
+         static_cast<std::uint32_t>(rng() % plan.disks_per_node),
+         10.0 + 50.0 * rng.uniform()});
+  }
+  plan.attempt_failure_prob = 0.001;
+  plan.container_launch_failure_prob = 0.0005;
+  plan.fetch_failure_prob = 0.0002;
+  return plan;
+}
+
+TEST(SkewTune, QueuedChunkYieldsUnitsItsRependedBlockLaunched) {
+  // A straggler's unread units wait in a planned chunk while their rs(6,3)
+  // block is unreadable. A crash re-pends the block, a holder rejoins and
+  // the stock path launches the block's free units, the chunk's among
+  // them; serving the chunk must then skip them, not take them again.
+  constexpr std::uint32_t kNodes = 512;
+  constexpr std::uint64_t kSeed = 9747919254309863993ull;
+  auto cluster = bench::make_scale_cluster(kNodes);
+  const auto workload = bench::make_scale_benchmark(kNodes, 20);
+  const auto layout = workloads::make_layout(
+      workload, InputScale::kSmall, cluster.num_nodes(), kDefaultBlockMiB, 3,
+      kSeed, hdfs::StoragePolicy::rs(6, 3));
+  const auto spec = workloads::to_job_spec(workload, InputScale::kSmall);
+  Simulator sim;
+  mr::SimParams params;
+  params.seed = kSeed;
+  const auto scheduler =
+      workloads::make_scheduler(SchedulerKind::kSkewTune, kSeed);
+  mr::JobDriver driver(sim, cluster, layout, spec, params, *scheduler);
+  driver.install_faults(early_crash_plan(kNodes, kSeed));
+  driver.start();
+  EXPECT_NO_THROW({
+    while (!driver.done() && sim.now() < 20000.0 && sim.step()) {
+    }
+  });
+  ASSERT_TRUE(driver.done());
+  const mr::JobResult& result = driver.result();
+  EXPECT_FALSE(result.aborted) << result.abort_reason;
+  std::size_t credited = 0;
+  for (const auto& task : result.tasks) {
+    if (task.kind == mr::TaskKind::kMap && task.credited()) {
+      credited += task.num_bus;
+    }
+  }
+  EXPECT_EQ(credited, layout.bus.size());
+  EXPECT_EQ(driver.processed_bus(), layout.bus.size());
 }
 
 TEST(FlexMap, TaskSizesGrowOverTheJob) {
