@@ -43,7 +43,6 @@ class Machine {
   std::uint32_t slots() const { return spec_.slots; }
 
   double multiplier() const { return multiplier_; }
-  double fault_factor() const { return fault_factor_; }
   MiBps effective_ips() const {
     return spec_.base_ips * multiplier_ * fault_factor_;
   }

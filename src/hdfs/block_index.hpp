@@ -91,8 +91,6 @@ class BlockLocationIndex {
     return std::find(dropped.begin(), dropped.end(), node) != dropped.end();
   }
 
-  bool node_active(NodeId node) const { return active_[node] != 0; }
-
   std::uint32_t num_nodes() const {
     return static_cast<std::uint32_t>(node_lists_.size());
   }

@@ -93,11 +93,6 @@ class ReplicaManager {
     return queue_.size() + parked_.size() + (in_flight_ ? 1 : 0);
   }
 
-  /// Alive nodes whose disk holds `block` (the view LTB and the
-  /// schedulers consume).
-  const std::vector<NodeId>& live_holders(std::uint32_t block) const {
-    return live_holders_[block];
-  }
   std::size_t live_holder_count(std::uint32_t block) const {
     return live_holders_[block].size();
   }

@@ -5,40 +5,42 @@
 // exactly-once block-unit invariant.
 //
 // Mechanism/policy split: ALL state machines live here; Scheduler only
-// decides what to launch where (see mr/scheduler.hpp).
-//
-// Task timeline (maps):
-//   dispatch ──(container_alloc + jvm_startup [+ extra])──▶ compute start
-//   compute ──(rate-integrated at node speed / cost)──▶ completion
-// Interference changes re-rate the integrator and re-schedule the
-// cancellable completion event.
-//
-// Reduce phase: starts when the last BU is credited. Reducer r gets weight
-// w_r of every map output; its fetch moves the non-node-local share over
-// the NIC (discounted by shuffle_overlap for the early-shuffle Hadoop
-// performs), then reduce compute is rate-integrated like a map.
+// decides what to launch where (see mr/scheduler.hpp). The attempt types
+// are in mr/driver_internal.hpp. driver.cpp holds start, offers, heartbeat
+// and the attempt timeline; driver_map.cpp, driver_reduce.cpp (shuffle
+// included), driver_faults.cpp, driver_recovery.cpp (AM crash) and
+// driver_trace.cpp hold one mechanism each.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "faults/fault_plan.hpp"
-#include "faults/injector.hpp"
 #include "hdfs/block_index.hpp"
-#include "hdfs/replica_manager.hpp"
 #include "mr/job.hpp"
 #include "mr/metrics.hpp"
 #include "mr/params.hpp"
 #include "mr/scheduler.hpp"
-#include "obs/session.hpp"
+#include "obs/metrics.hpp"
+#include "obs/tracer.hpp"
 #include "recover/journal.hpp"
-#include "simcore/rate_integrator.hpp"
 #include "simcore/simulator.hpp"
 #include "yarn/resource_manager.hpp"
+
+namespace flexmr::faults {
+class FaultInjector;
+}
+namespace flexmr::hdfs {
+class ReplicaManager;
+}
+namespace flexmr::obs {
+class TraceSession;
+}
 
 namespace flexmr::mr {
 
@@ -237,15 +239,7 @@ class JobDriver final : public DriverContext {
   std::uint32_t total_reducers() const override {
     return static_cast<std::uint32_t>(reduce_tasks_.size());
   }
-  MiB next_reducer_input() const override {
-    if (!reduce_requeue_.empty()) {
-      return reduce_tasks_[reduce_requeue_.front()]->input;
-    }
-    if (next_reducer_ < reduce_tasks_.size()) {
-      return reduce_tasks_[next_reducer_]->input;
-    }
-    return 0;
-  }
+  MiB next_reducer_input() const override;
   MiB mean_reducer_input() const override {
     return reduce_tasks_.empty()
                ? 0.0
@@ -259,80 +253,41 @@ class JobDriver final : public DriverContext {
     return !blacklisted_.empty() && blacklisted_[node] != 0 &&
            !blacklist_saturated();
   }
-  bool block_readable(std::uint32_t block) const override {
-    // Readable = enough live holders to serve (or decode) the data: one
-    // whole replica, or any k of the k+m parts under rs(k,m).
-    return !replica_mgr_ ||
-           replica_mgr_->live_holder_count(block) >= layout_->min_live();
-  }
+  bool block_readable(std::uint32_t block) const override;
   obs::EventTracer* tracer() const override { return tracer_; }
   recover::JobJournal* journal() const override { return journal_; }
   std::vector<BlockUnitId> kill_and_reclaim(TaskId task) override;
 
  private:
-  enum class TaskPhase { kStarting, kFetching, kComputing, kDone };
-
-  /// Attempt-level fate drawn at dispatch from the fault injector: the
-  /// container launch fails during startup, or the attempt dies a
-  /// fraction of the way through its compute.
-  enum class PlannedFault { kNone, kLaunchFail, kAttemptFail };
-
-  struct MapTask {
-    TaskId id = 0;
-    NodeId node = 0;
-    std::vector<BlockUnitId> bus;
-    MiB size = 0;
-    double avg_cost = 1.0;       ///< Size-weighted mean BU cost.
-    double local_fraction = 1.0; ///< Bytes with a replica on `node`.
-    bool speculative = false;
-    TaskId twin = kInvalidTask;  ///< Original/copy counterpart, if any.
-    bool credited = false;       ///< Completed (or partial) and counted.
-    bool output_lost = false;    ///< Host failed; input was re-queued.
-    /// Exactly one task of an original/copy pair owns the BU list (both
-    /// hold duplicates): the owner returns it to the index if the work
-    /// dies. Ownership transfers to a surviving twin when the owner is
-    /// killed — without the transfer, a second failure hitting the twin
-    /// would silently drop the BUs (exactly-once violation).
-    bool owns_bus = true;
-    /// Per-attempt execution-time multiplier (GC pauses, I/O variance —
-    /// lognormal with unit mean). Twins draw independently.
-    double exec_noise = 1.0;
-    SimTime dispatch_time = 0;
-    SimTime compute_start = 0;
-    TaskPhase phase = TaskPhase::kStarting;
-    PlannedFault planned_fault = PlannedFault::kNone;
-    double fail_frac = 0;        ///< Compute fraction at which it dies.
-    std::optional<RateIntegrator> integrator;
-    EventId pending_event = kInvalidEvent;
-  };
-
-  struct ReduceTask {
-    TaskId id = 0;
-    NodeId node = kInvalidNode;  ///< Assigned at dispatch (late binding).
-    double share = 0;            ///< Fraction of intermediate data.
-    MiB input = 0;
-    MiB remote = 0;
-    double exec_noise = 1.0;
-    SimTime dispatch_time = 0;
-    SimTime compute_start = 0;
-    TaskPhase phase = TaskPhase::kStarting;
-    PlannedFault planned_fault = PlannedFault::kNone;
-    double fail_frac = 0;
-    std::optional<RateIntegrator> integrator;
-    EventId pending_event = kInvalidEvent;
-    /// Map-output hosts whose fetch failed this attempt, FIFO. The reducer
-    /// retries the front source with exponential backoff and reports each
-    /// failure to the AM (Hadoop's fetch-failure notification).
-    std::vector<NodeId> failed_fetch_sources;
-    std::uint32_t fetch_attempt = 0;  ///< Retries against the front source.
-  };
+  // The attempt types (mr/driver_internal.hpp) and their shared timeline.
+  enum class TaskPhase;
+  enum class PlannedFault;
+  struct Attempt;
+  struct MapTask;
+  struct ReduceTask;
+  /// Stamps `a`'s dispatch, draws its exec noise and then its fate, and
+  /// ends its startup: never on a silently-dead node, with `fail` after
+  /// container_alloc_s on a launch failure, else with `ready` after `startup`.
+  void launch_attempt(Attempt& a, SimDuration startup,
+                      Simulator::Handler fail, Simulator::Handler ready);
+  /// Starts computing `size` MiB at `rate`: a doomed attempt dies (`fail`)
+  /// fail_frac of the way to its ETA, any other completes (`done`) there.
+  void start_compute(Attempt& a, MiB size, double rate,
+                     Simulator::Handler fail, Simulator::Handler done);
+  /// Re-rates computing attempt `a`. A doomed attempt keeps its death
+  /// time; any other completes (`done`) at its new ETA.
+  void rerate(Attempt& a, double rate, Simulator::Handler done);
+  void cancel_pending(Attempt& a);
+  /// Input `a` has read so far (0 before its compute starts).
+  MiB read_so_far(const Attempt& a) const;
+  /// Appends `a`'s record, ending now, with the fields maps and reduces
+  /// share; the caller fills in the map-only ones.
+  TaskRecord& record_attempt(const Attempt& a, TaskKind kind,
+                             TaskStatus status, MiB input,
+                             double phase_progress);
 
   bool handle_offer(NodeId node);
   void dispatch_map(NodeId node, MapLaunch launch);
-  /// Draws the fate of an attempt dispatched to `node` (none without an
-  /// injector).
-  void draw_planned_fault(NodeId node, PlannedFault& fault,
-                          double& fail_frac);
   void map_compute_start(TaskId id);
   void map_complete(TaskId id);
   /// Every map attempt that ends early goes through here: cancels its
@@ -373,8 +328,6 @@ class JobDriver final : public DriverContext {
   void report_fetch_failure(NodeId host);
   void reduce_compute_start(std::size_t idx);
   void reduce_complete(std::size_t idx);
-  void record_reduce(const ReduceTask& task, TaskStatus status, MiB input,
-                     double phase_progress);
   /// Puts dispatched reducer `idx` back in the requeue lane: cancels its
   /// pending event, closes its span with `reason` and clears the attempt
   /// (node, phase, progress, compute start, planned fault).
@@ -445,7 +398,6 @@ class JobDriver final : public DriverContext {
 
   double map_rate(const MapTask& task) const;
   double reduce_rate(const ReduceTask& task) const;
-  void reschedule_map_completion(MapTask& task);
   void finish_job();
   /// Copies the simulator's counters into the result.
   void record_sim_counters();

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "obs/session.hpp"
 
 namespace flexmr::mr {
 

@@ -82,20 +82,9 @@ LogHistogram& MetricsRegistry::histogram(const std::string& name) {
   return *histograms_.back();
 }
 
-bool MetricsRegistry::has_counter(const std::string& name) const {
-  return counter_index_.find(name) != counter_index_.end();
-}
-
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
   auto it = counter_index_.find(name);
   return it == counter_index_.end() ? 0 : counters_[it->second]->value();
-}
-
-const LogHistogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  auto it = histogram_index_.find(name);
-  return it == histogram_index_.end() ? nullptr
-                                      : histograms_[it->second].get();
 }
 
 std::size_t MetricsRegistry::num_columns() const {

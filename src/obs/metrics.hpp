@@ -92,9 +92,7 @@ class MetricsRegistry {
   void register_gauge(const std::string& name, GaugeFn fn);
   LogHistogram& histogram(const std::string& name);
 
-  bool has_counter(const std::string& name) const;
   std::uint64_t counter_value(const std::string& name) const;
-  const LogHistogram* find_histogram(const std::string& name) const;
 
   double cadence() const { return cadence_s_; }
 

@@ -107,8 +107,6 @@ class MapReduceEngine {
   RtResult run_elastic(const Dataset& dataset, const MapFn& map_fn,
                        const ReduceFn& reduce_fn);
 
-  std::size_t num_workers() const { return workers_.size(); }
-
  private:
   enum class Mode { kFixed, kElastic };
   RtResult run(const Dataset& dataset, const MapFn& map_fn,

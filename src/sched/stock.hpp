@@ -100,8 +100,6 @@ class StockHadoopScheduler : public mr::Scheduler {
   std::optional<mr::MapLaunch> late_speculate(mr::DriverContext& ctx,
                                               NodeId node);
 
-  std::size_t pending_blocks() const { return pending_count_; }
-
  private:
   /// Shared failure cleanup: re-pend fully-freed blocks and rewind the
   /// scan cursors (re-pended blocks may sit behind them).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/presets.hpp"
+#include "mr/driver.hpp"
 #include "workloads/experiment.hpp"
 
 namespace flexmr {

@@ -9,6 +9,7 @@
 
 #include "cluster/presets.hpp"
 #include "common/rng.hpp"
+#include "mr/driver.hpp"
 #include "mr/result_json.hpp"
 #include "workloads/experiment.hpp"
 

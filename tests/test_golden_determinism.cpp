@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <optional>
 #include <string>
 
 #include "obs/session.hpp"
@@ -101,6 +102,72 @@ TEST(GoldenDeterminism, TraceDocumentIsByteStable) {
   run_case(kFaultCases[3], plan, &second);
   EXPECT_EQ(first.trace_json(), second.trace_json());
   EXPECT_EQ(first.metrics_csv(), second.metrics_csv());
+}
+
+// Fault paths the canonical plan leaves out: container launch failures,
+// node crashes late in the job, and an AM crash during FlexMap's reduce
+// phase that tears down its running reducers. The hashes were taken before
+// JobDriver was split by mechanism; a run that aborts hashes the result
+// its JobAbortedError carries.
+faults::FaultPlan uncovered_plan(int which) {
+  faults::FaultPlan plan;
+  if (which == 0) {
+    plan.container_launch_failure_prob = 0.05;
+    plan.max_attempts = 8;
+  } else if (which == 1) {
+    plan.container_launch_failure_prob = 0.03;
+    plan.attempt_failure_prob = 0.03;
+    plan.crashes = {faults::NodeCrash{4, 62.0, 95.0, true},
+                    faults::NodeCrash{9, 70.0, std::nullopt, false}};
+  } else {
+    plan.container_launch_failure_prob = 0.03;
+    plan.am_crashes = {66.0};
+  }
+  return plan;
+}
+
+/// The run's JobResult, or the one its JobAbortedError carries.
+mr::JobResult run_or_abort(cluster::Cluster& cluster, const GoldenCase& c,
+                           const faults::FaultPlan& plan) {
+  workloads::RunConfig config;
+  config.block_size = c.block_size;
+  config.params.seed = 1234;
+  config.faults = plan;
+  try {
+    return workloads::run_job(cluster, workloads::benchmark("WC"),
+                              workloads::InputScale::kSmall, c.kind, config);
+  } catch (const mr::JobAbortedError& e) {
+    return e.result();
+  }
+}
+
+TEST(GoldenDeterminism, UncoveredFaultPathsMatchGolden) {
+  // Rows: the three plans; columns: Hadoop-64m, SkewTune-64m, FlexMap.
+  constexpr std::uint64_t kExpected[3][3] = {
+      {0xae3044753ebdf384ull, 0x9e39c3c9b349c955ull, 0x8cf389ba34ce677full},
+      {0x46caabe6506bbf14ull, 0x6f9fa3deb9a0937cull, 0x8834888d283041d7ull},
+      {0x7b7e296107ce841bull, 0x5202c3004752296cull, 0xeffef3db0bb4f86bull},
+  };
+  const bool regen = std::getenv("FLEXMR_REGEN_GOLDEN") != nullptr;
+  for (int p = 0; p < 3; ++p) {
+    const auto plan = uncovered_plan(p);
+    for (int s = 0; s < 3; ++s) {
+      const GoldenCase& c = kCases[s + 1];
+      auto cluster = cluster::presets::virtual20();
+      const mr::JobResult result = run_or_abort(cluster, c, plan);
+      const std::uint64_t hash = fnv1a(mr::job_result_json(result, cluster));
+      if (regen) {
+        std::printf("    plan %d %s: 0x%016llxull (aborted %d)\n", p, c.label,
+                    static_cast<unsigned long long>(hash),
+                    static_cast<int>(result.aborted));
+        continue;
+      }
+      EXPECT_EQ(hash, kExpected[p][s]) << "plan " << p << ' ' << c.label;
+    }
+  }
+  if (regen) {
+    FAIL() << "FLEXMR_REGEN_GOLDEN set: update kExpected and re-run";
+  }
 }
 
 // Independent of the golden constants: the same seed must give the same

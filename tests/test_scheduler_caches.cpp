@@ -19,6 +19,7 @@
 
 #include "bench/scale_grid.hpp"
 #include "common/rng.hpp"
+#include "mr/driver.hpp"
 #include "mr/result_json.hpp"
 #include "tests/golden_cases.hpp"
 

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "flexmap/flexmap_scheduler.hpp"
 #include "flexmap/reduce_placer.hpp"
+#include "mr/driver.hpp"
 #include "workloads/experiment.hpp"
 
 namespace flexmr {
