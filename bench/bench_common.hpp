@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,6 +168,76 @@ inline std::vector<SweepResult> sweep(
   const std::uint64_t rss_now = peak_rss_kib();
   for (auto& result : results) result.peak_rss_kib = rss_now;
   return results;
+}
+
+/// Mean of a cell where every run may have aborted (no samples).
+inline double mean_or_zero(const OnlineStats& stats) {
+  return stats.count() > 0 ? stats.mean() : 0.0;
+}
+
+/// Events of `type` in a run's fault timeline.
+inline double count_events(const mr::JobResult& result,
+                           faults::FaultEventType type) {
+  double n = 0;
+  for (const auto& e : result.fault_events) {
+    if (e.type == type) ++n;
+  }
+  return n;
+}
+
+/// Runs |kinds| × |points| × |seeds| small-input jobs of `bench` on the
+/// sweep pool; apply(config, p) sets point p's faults. Like sweep(), it
+/// folds in item order once the pool drains: `fold` adds each finished run
+/// to its cell, and a run that aborts (JobAbortedError) is counted in the
+/// cell's aborted_runs, not averaged.
+template <typename Cell>
+std::vector<std::vector<Cell>> fault_sweep(
+    const std::function<cluster::Cluster()>& make_cluster,
+    const workloads::Benchmark& bench,
+    const std::vector<workloads::SchedulerKind>& kinds,
+    std::size_t num_points, const std::vector<std::uint64_t>& seeds,
+    const std::function<void(workloads::RunConfig&, std::size_t)>& apply,
+    const std::function<void(Cell&, const mr::JobResult&)>& fold) {
+  struct WorkItem {
+    std::size_t kind;
+    std::size_t point;
+    std::uint64_t seed;
+  };
+  std::vector<WorkItem> items;
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    for (std::size_t p = 0; p < num_points; ++p) {
+      for (const auto seed : seeds) items.push_back({k, p, seed});
+    }
+  }
+
+  // Empty where the run aborted.
+  std::vector<std::optional<mr::JobResult>> finished(items.size());
+  sweep_pool().parallel_for_each(
+      items.begin(), items.end(), [&](const WorkItem& w) {
+        auto cluster = make_cluster();
+        workloads::RunConfig config;
+        config.params.seed = w.seed;
+        apply(config, w.point);
+        try {
+          finished[static_cast<std::size_t>(&w - items.data())] =
+              workloads::run_job(cluster, bench,
+                                 workloads::InputScale::kSmall,
+                                 kinds[w.kind], config);
+        } catch (const mr::JobAbortedError&) {
+        }
+      });
+
+  std::vector<std::vector<Cell>> cells(kinds.size(),
+                                       std::vector<Cell>(num_points));
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    Cell& cell = cells[items[i].kind][items[i].point];
+    if (finished[i]) {
+      fold(cell, *finished[i]);
+    } else {
+      ++cell.aborted_runs;
+    }
+  }
+  return cells;
 }
 
 /// Activates the process-global self-profiler (idempotent; DESIGN.md §15).

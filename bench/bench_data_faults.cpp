@@ -6,7 +6,6 @@
 // of the replicas of its blocks with it until the NameNode copies them
 // back onto the survivors.
 #include <cstdio>
-#include <mutex>
 
 #include "bench/bench_common.hpp"
 #include "cluster/presets.hpp"
@@ -23,68 +22,25 @@ struct DataFaultStats {
   std::size_t aborted_runs = 0;
 };
 
-double mean_or_zero(const OnlineStats& stats) {
-  return stats.count() > 0 ? stats.mean() : 0.0;
-}
-
-double count_events(const mr::JobResult& result,
-                    faults::FaultEventType type) {
-  double n = 0;
-  for (const auto& e : result.fault_events) {
-    if (e.type == type) ++n;
-  }
-  return n;
-}
-
-/// |kinds| × |points| × |seeds| runs; aborted runs (data loss) are
-/// counted, not averaged.
+/// |kinds| × |points| × |seeds| runs on the 12-node physical cluster.
 std::vector<std::vector<DataFaultStats>> data_fault_sweep(
     const workloads::Benchmark& bench,
     const std::vector<workloads::SchedulerKind>& kinds,
     std::size_t num_points, const std::vector<std::uint64_t>& seeds,
     const std::function<void(workloads::RunConfig&, std::size_t)>& apply) {
-  std::vector<std::vector<DataFaultStats>> stats(
-      kinds.size(), std::vector<DataFaultStats>(num_points));
-  std::mutex mutex;
-
-  struct WorkItem {
-    std::size_t kind;
-    std::size_t point;
-    std::uint64_t seed;
-  };
-  std::vector<WorkItem> items;
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    for (std::size_t p = 0; p < num_points; ++p) {
-      for (const auto seed : seeds) items.push_back({k, p, seed});
-    }
-  }
-
-  static ThreadPool pool;
-  pool.parallel_for_each(items.begin(), items.end(), [&](const WorkItem& w) {
-    auto cluster = cluster::presets::physical12();
-    workloads::RunConfig config;
-    config.params.seed = w.seed;
-    apply(config, w.point);
-    try {
-      const auto result = workloads::run_job(
-          cluster, bench, workloads::InputScale::kSmall, kinds[w.kind],
-          config);
-      std::lock_guard lock(mutex);
-      auto& cell = stats[w.kind][w.point];
-      cell.jct.add(result.jct());
-      cell.wasted.add(result.wasted_slot_time());
-      cell.fetch_failures.add(
-          count_events(result, faults::FaultEventType::kFetchFailure));
-      cell.maps_rerun.add(
-          count_events(result, faults::FaultEventType::kMapOutputLost));
-      cell.re_replicated.add(
-          count_events(result, faults::FaultEventType::kReReplicated));
-    } catch (const mr::JobAbortedError&) {
-      std::lock_guard lock(mutex);
-      ++stats[w.kind][w.point].aborted_runs;
-    }
-  });
-  return stats;
+  return fault_sweep<DataFaultStats>(
+      []() { return cluster::presets::physical12(); }, bench, kinds,
+      num_points, seeds, apply,
+      [](DataFaultStats& cell, const mr::JobResult& result) {
+        cell.jct.add(result.jct());
+        cell.wasted.add(result.wasted_slot_time());
+        cell.fetch_failures.add(
+            count_events(result, faults::FaultEventType::kFetchFailure));
+        cell.maps_rerun.add(
+            count_events(result, faults::FaultEventType::kMapOutputLost));
+        cell.re_replicated.add(
+            count_events(result, faults::FaultEventType::kReReplicated));
+      });
 }
 
 void run_fetch_failure_sweep(

@@ -6,7 +6,6 @@
 // pipeline reads k surviving parts per rebuilt part — k x read
 // amplification over re-replication's single copy).
 #include <cstdio>
-#include <mutex>
 
 #include "bench/bench_common.hpp"
 #include "cluster/presets.hpp"
@@ -24,69 +23,26 @@ struct ErasureStats {
   std::size_t aborted_runs = 0;
 };
 
-double mean_or_zero(const OnlineStats& stats) {
-  return stats.count() > 0 ? stats.mean() : 0.0;
-}
-
-double count_events(const mr::JobResult& result,
-                    faults::FaultEventType type) {
-  double n = 0;
-  for (const auto& e : result.fault_events) {
-    if (e.type == type) ++n;
-  }
-  return n;
-}
-
 /// |kinds| x |points| x |seeds| runs on the 19-worker virtual cluster
-/// (wide enough for rs(10,4)'s 14 distinct part holders); aborted runs
-/// (data loss) are counted, not averaged.
+/// (wide enough for rs(10,4)'s 14 distinct part holders).
 std::vector<std::vector<ErasureStats>> erasure_sweep(
     const workloads::Benchmark& bench,
     const std::vector<workloads::SchedulerKind>& kinds,
     std::size_t num_points, const std::vector<std::uint64_t>& seeds,
     const std::function<void(workloads::RunConfig&, std::size_t)>& apply) {
-  std::vector<std::vector<ErasureStats>> stats(
-      kinds.size(), std::vector<ErasureStats>(num_points));
-  std::mutex mutex;
-
-  struct WorkItem {
-    std::size_t kind;
-    std::size_t point;
-    std::uint64_t seed;
-  };
-  std::vector<WorkItem> items;
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    for (std::size_t p = 0; p < num_points; ++p) {
-      for (const auto seed : seeds) items.push_back({k, p, seed});
-    }
-  }
-
-  static ThreadPool pool;
-  pool.parallel_for_each(items.begin(), items.end(), [&](const WorkItem& w) {
-    auto cluster = cluster::presets::virtual20();
-    workloads::RunConfig config;
-    config.params.seed = w.seed;
-    apply(config, w.point);
-    try {
-      const auto result = workloads::run_job(
-          cluster, bench, workloads::InputScale::kSmall, kinds[w.kind],
-          config);
-      std::lock_guard lock(mutex);
-      auto& cell = stats[w.kind][w.point];
-      cell.jct.add(result.jct());
-      cell.degraded_reads.add(static_cast<double>(result.degraded_reads));
-      cell.decode_mib.add(result.decode_mib);
-      cell.parts_reconstructed.add(
-          static_cast<double>(result.parts_reconstructed));
-      cell.repair_read_mib.add(result.repair_read_mib);
-      cell.re_replicated.add(
-          count_events(result, faults::FaultEventType::kReReplicated));
-    } catch (const mr::JobAbortedError&) {
-      std::lock_guard lock(mutex);
-      ++stats[w.kind][w.point].aborted_runs;
-    }
-  });
-  return stats;
+  return fault_sweep<ErasureStats>(
+      []() { return cluster::presets::virtual20(); }, bench, kinds,
+      num_points, seeds, apply,
+      [](ErasureStats& cell, const mr::JobResult& result) {
+        cell.jct.add(result.jct());
+        cell.degraded_reads.add(static_cast<double>(result.degraded_reads));
+        cell.decode_mib.add(result.decode_mib);
+        cell.parts_reconstructed.add(
+            static_cast<double>(result.parts_reconstructed));
+        cell.repair_read_mib.add(result.repair_read_mib);
+        cell.re_replicated.add(
+            count_events(result, faults::FaultEventType::kReReplicated));
+      });
 }
 
 struct Policy {

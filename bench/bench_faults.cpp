@@ -7,7 +7,6 @@
 // work per failure than fixed-size ones because a failed container
 // forfeits all the BUs it bundled.
 #include <cstdio>
-#include <mutex>
 
 #include "bench/bench_common.hpp"
 #include "cluster/presets.hpp"
@@ -22,59 +21,12 @@ struct FaultPointStats {
   std::size_t aborted_runs = 0;
 };
 
-/// Mean of a cell where every run may have aborted (no samples).
-double mean_or_zero(const OnlineStats& stats) {
-  return stats.count() > 0 ? stats.mean() : 0.0;
-}
-
-/// |kinds| × |rates| × |seeds| runs; a run that aborts (a unit of work
-/// exhausted max_attempts) is counted, not averaged.
-std::vector<std::vector<FaultPointStats>> fault_sweep(
-    const std::function<cluster::Cluster()>& make_cluster,
-    const workloads::Benchmark& bench,
-    const std::vector<workloads::SchedulerKind>& kinds,
-    const std::vector<double>& rates,
-    const std::vector<std::uint64_t>& seeds,
-    const std::function<void(workloads::RunConfig&, double)>& apply_rate) {
-  std::vector<std::vector<FaultPointStats>> stats(
-      kinds.size(), std::vector<FaultPointStats>(rates.size()));
-  std::mutex mutex;
-
-  struct WorkItem {
-    std::size_t kind;
-    std::size_t rate;
-    std::uint64_t seed;
-  };
-  std::vector<WorkItem> items;
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    for (std::size_t r = 0; r < rates.size(); ++r) {
-      for (const auto seed : seeds) items.push_back({k, r, seed});
-    }
-  }
-
-  static ThreadPool pool;
-  pool.parallel_for_each(items.begin(), items.end(), [&](const WorkItem& w) {
-    auto cluster = make_cluster();
-    workloads::RunConfig config;
-    config.params.seed = w.seed;
-    apply_rate(config, rates[w.rate]);
-    try {
-      const auto result = workloads::run_job(
-          cluster, bench, workloads::InputScale::kSmall, kinds[w.kind],
-          config);
-      std::lock_guard lock(mutex);
-      auto& cell = stats[w.kind][w.rate];
-      cell.jct.add(result.jct());
-      cell.wasted.add(result.wasted_slot_time());
-      cell.failed_attempts.add(static_cast<double>(
-          result.count(mr::TaskKind::kMap, mr::TaskStatus::kFailed) +
-          result.count(mr::TaskKind::kReduce, mr::TaskStatus::kFailed)));
-    } catch (const mr::JobAbortedError&) {
-      std::lock_guard lock(mutex);
-      ++stats[w.kind][w.rate].aborted_runs;
-    }
-  });
-  return stats;
+void fold_run(FaultPointStats& cell, const mr::JobResult& result) {
+  cell.jct.add(result.jct());
+  cell.wasted.add(result.wasted_slot_time());
+  cell.failed_attempts.add(static_cast<double>(
+      result.count(mr::TaskKind::kMap, mr::TaskStatus::kFailed) +
+      result.count(mr::TaskKind::kReduce, mr::TaskStatus::kFailed)));
 }
 
 void run_rate_sweep(BenchArtifact& artifact,
@@ -89,11 +41,13 @@ void run_rate_sweep(BenchArtifact& artifact,
 
   auto bench = workloads::benchmark("WC");
   bench.small_input = 4096.0;
-  const auto stats = fault_sweep(
-      []() { return cluster::presets::physical12(); }, bench, kinds, rates,
-      seeds, [](workloads::RunConfig& config, double rate) {
-        config.faults.attempt_failure_prob = rate;
-      });
+  const auto stats = fault_sweep<FaultPointStats>(
+      []() { return cluster::presets::physical12(); }, bench, kinds,
+      rates.size(), seeds,
+      [&](workloads::RunConfig& config, std::size_t r) {
+        config.faults.attempt_failure_prob = rates[r];
+      },
+      fold_run);
 
   TextTable table({"System", "p=0", "p=0.05", "p=0.15", "p=0.30",
                    "x0.30/x0", "aborts"});
@@ -150,15 +104,16 @@ void run_crash_recovery(BenchArtifact& artifact,
   const std::vector<Scenario> scenarios = {{"healthy", std::nullopt},
                                            {"crash", std::nullopt},
                                            {"crash+rejoin", 60.0}};
-  const std::vector<double> ids = {0.0, 1.0, 2.0};  // scenario index
-  const auto stats = fault_sweep(
-      []() { return cluster::presets::physical12(); }, bench, kinds, ids,
-      seeds, [&](workloads::RunConfig& config, double id) {
-        const auto& scenario = scenarios[static_cast<std::size_t>(id)];
+  const auto stats = fault_sweep<FaultPointStats>(
+      []() { return cluster::presets::physical12(); }, bench, kinds,
+      scenarios.size(), seeds,
+      [&](workloads::RunConfig& config, std::size_t s) {
+        const auto& scenario = scenarios[s];
         if (std::string(scenario.label) == "healthy") return;
         config.faults.crashes = {
             faults::NodeCrash{3, 25.0, scenario.rejoin, true}};
-      });
+      },
+      fold_run);
 
   TextTable table({"System", "healthy", "crash", "crash+rejoin",
                    "crash/healthy"});

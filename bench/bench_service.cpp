@@ -106,11 +106,11 @@ int main() {
   // emitted stats are identical however the pool interleaves (the same
   // discipline as sweep() in bench_common.hpp).
   std::vector<RunStats> measured(items.size());
-  static ThreadPool pool;
-  pool.parallel_for_each(items.begin(), items.end(), [&](const WorkItem& w) {
-    const auto i = static_cast<std::size_t>(&w - items.data());
-    measured[i] = run_one(variants[w.variant], w.seed);
-  });
+  sweep_pool().parallel_for_each(
+      items.begin(), items.end(), [&](const WorkItem& w) {
+        const auto i = static_cast<std::size_t>(&w - items.data());
+        measured[i] = run_one(variants[w.variant], w.seed);
+      });
 
   BenchArtifact artifact("service",
                          "Multi-tenant service: share policy comparison");

@@ -1,5 +1,5 @@
 // Fixed-size thread pool used by bench harnesses to run independent
-// simulations in parallel, and by the rt/ runtime as its worker substrate.
+// simulations in parallel. (The rt/ runtime starts its own worker threads.)
 //
 // Tasks are type-erased std::move_only_function-style callables; submit()
 // returns a std::future. parallel_for_each provides a blocking data-parallel

@@ -65,9 +65,9 @@ struct DegradedWindow {
 //
 // A node stripes its replicas/parts across `disks_per_node` disks
 // (block b of node n lives on disk (b + n) % disks_per_node, a fixed
-// deterministic mapping). A DiskFault destroys exactly that disk's data on
-// a *live* node — unlike a silent crash, the data is really gone, so a
-// rejoin block report cannot restore it and only the repair pipeline can.
+// deterministic mapping). A DiskFault destroys exactly that disk's data,
+// on a live node or a down one — unlike a crash, the data is really gone,
+// so a rejoin block report cannot restore it and only the repair can.
 // A DiskDegradedWindow models a slow disk (firmware retries, failing
 // media): reads of its data lose their locality discount during the
 // window.

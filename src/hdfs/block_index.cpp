@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "hdfs/replica_manager.hpp"
 
 namespace flexmr::hdfs {
 
@@ -13,9 +14,6 @@ BlockLocationIndex::BlockLocationIndex(const FileLayout& layout,
       cursor_(num_nodes, 0),
       counts_(num_nodes, 0),
       taken_(layout.bus.size(), 0),
-      active_(num_nodes, 1),
-      extra_holders_(layout.blocks.size()),
-      dropped_holders_(layout.blocks.size()),
       unprocessed_(layout.bus.size()) {
   for (const auto& bu : layout.bus) {
     for (const NodeId node : layout.replicas_of(bu.id)) {
@@ -31,18 +29,22 @@ std::size_t BlockLocationIndex::local_count(NodeId node) const {
   return counts_[node];
 }
 
+const std::vector<NodeId>& BlockLocationIndex::holders(
+    std::uint32_t block) const {
+  return replicas_ != nullptr ? replicas_->live_holders(block)
+                              : layout_->blocks[block].replicas;
+}
+
+bool BlockLocationIndex::serves(std::uint32_t block, NodeId node) const {
+  const std::vector<NodeId>& nodes = holders(block);
+  return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
+}
+
 void BlockLocationIndex::take_one(BlockUnitId bu) {
   FLEXMR_ASSERT_MSG(!taken_[bu], "block unit taken twice");
   taken_[bu] = 1;
   --unprocessed_;
-  const std::uint32_t block = layout_->bus[bu].block;
-  for (const NodeId node : layout_->replicas_of(bu)) {
-    if (!active_[node] || holder_dropped(block, node)) continue;
-    FLEXMR_ASSERT(counts_[node] > 0);
-    --counts_[node];
-  }
-  for (const NodeId node : extra_holders_[block]) {
-    if (!active_[node] || holder_dropped(block, node)) continue;
+  for (const NodeId node : holders(layout_->bus[bu].block)) {
     FLEXMR_ASSERT(counts_[node] > 0);
     --counts_[node];
   }
@@ -52,13 +54,14 @@ std::vector<BlockUnitId> BlockLocationIndex::take_local(NodeId node,
                                                         std::size_t n) {
   FLEXMR_ASSERT(node < node_lists_.size());
   std::vector<BlockUnitId> taken;
-  if (!active_[node]) return taken;  // a dead node serves nothing
+  // A dead node serves nothing.
+  if (replicas_ != nullptr && !replicas_->node_alive(node)) return taken;
   taken.reserve(n);
   auto& list = node_lists_[node];
   auto& cur = cursor_[node];
   while (taken.size() < n && cur < list.size()) {
     const BlockUnitId bu = list[cur];
-    if (taken_[bu] || holder_dropped(layout_->bus[bu].block, node)) {
+    if (taken_[bu] || !serves(layout_->bus[bu].block, node)) {
       ++cur;
       continue;
     }
@@ -71,7 +74,7 @@ std::vector<BlockUnitId> BlockLocationIndex::take_local(NodeId node,
   if (taken.size() < n && counts_[node] > 0) {
     for (std::size_t i = 0; i < list.size() && taken.size() < n; ++i) {
       const BlockUnitId bu = list[i];
-      if (!taken_[bu] && !holder_dropped(layout_->bus[bu].block, node)) {
+      if (!taken_[bu] && serves(layout_->bus[bu].block, node)) {
         take_one(bu);
         taken.push_back(bu);
       }
@@ -128,91 +131,65 @@ void BlockLocationIndex::put_back(const std::vector<BlockUnitId>& bus) {
     FLEXMR_ASSERT_MSG(taken_[bu], "cannot put back an untaken block unit");
     taken_[bu] = 0;
     ++unprocessed_;
-    const std::uint32_t block = layout_->bus[bu].block;
-    for (const NodeId node : layout_->replicas_of(bu)) {
-      if (!active_[node] || holder_dropped(block, node)) continue;
+    for (const NodeId node : holders(layout_->bus[bu].block)) {
       ++counts_[node];
       // Reset the scan cursor so take_local can find it again cheaply.
-      cursor_[node] = 0;
-    }
-    for (const NodeId node : extra_holders_[block]) {
-      if (!active_[node] || holder_dropped(block, node)) continue;
-      ++counts_[node];
       cursor_[node] = 0;
     }
   }
 }
 
-void BlockLocationIndex::deactivate_node(NodeId node) {
-  FLEXMR_ASSERT(node < node_lists_.size());
-  if (!active_[node]) return;
-  active_[node] = 0;
+void BlockLocationIndex::attach(const ReplicaManager& replicas,
+                                bool view_changed) {
+  FLEXMR_ASSERT_MSG(replicas_ == nullptr, "block index already attached");
+  replicas_ = &replicas;
+  if (!view_changed) return;
+  for (const Block& block : layout_->blocks) {
+    for (const NodeId node : replicas.remembered_holders(block.id)) {
+      if (std::find(block.replicas.begin(), block.replicas.end(), node) ==
+          block.replicas.end()) {
+        auto& list = node_lists_[node];
+        list.insert(list.end(), block.bus.begin(), block.bus.end());
+      }
+    }
+  }
+  for (NodeId node = 0; node < num_nodes(); ++node) node_restored(node);
+}
+
+void BlockLocationIndex::node_lost(NodeId node) {
   counts_[node] = 0;
   cursor_[node] = 0;
 }
 
-void BlockLocationIndex::restore_node(NodeId node) {
-  FLEXMR_ASSERT(node < node_lists_.size());
-  if (active_[node]) return;
-  active_[node] = 1;
+void BlockLocationIndex::node_restored(NodeId node) {
   std::size_t count = 0;
   for (const BlockUnitId bu : node_lists_[node]) {
-    // A disk-lost copy stays lost across the node's downtime: the rejoin
-    // block report simply doesn't list it.
-    if (!taken_[bu] && !holder_dropped(layout_->bus[bu].block, node)) ++count;
+    if (!taken_[bu] && serves(layout_->bus[bu].block, node)) ++count;
   }
   counts_[node] = count;
   cursor_[node] = 0;
 }
 
-void BlockLocationIndex::add_replica(const Block& block, NodeId node) {
-  FLEXMR_ASSERT(node < node_lists_.size());
-  FLEXMR_ASSERT_MSG(active_[node], "cannot rehost a block on a dead node");
-  auto& dropped = dropped_holders_[block.id];
-  const auto dropped_it = std::find(dropped.begin(), dropped.end(), node);
-  if (dropped_it != dropped.end()) {
-    // Repair landed back on a holder that lost this block to a disk fault:
-    // its node_lists_ entries still exist, so re-arming the holder is just
-    // un-dropping and recounting.
-    dropped.erase(dropped_it);
-    for (const BlockUnitId bu : block.bus) {
-      if (!taken_[bu]) ++counts_[node];
-    }
-    cursor_[node] = 0;
-    return;
-  }
-  auto& extras = extra_holders_[block.id];
-  FLEXMR_ASSERT_MSG(
-      std::find(extras.begin(), extras.end(), node) == extras.end() &&
-          std::find(block.replicas.begin(), block.replicas.end(), node) ==
-              block.replicas.end(),
-      "node already holds a replica of this block");
-  extras.push_back(node);
-  for (const BlockUnitId bu : block.bus) {
-    node_lists_[node].push_back(bu);
-    if (!taken_[bu]) ++counts_[node];
-  }
-}
-
-void BlockLocationIndex::drop_replica(const Block& block, NodeId node) {
-  FLEXMR_ASSERT(node < node_lists_.size());
-  auto& dropped = dropped_holders_[block.id];
-  if (std::find(dropped.begin(), dropped.end(), node) != dropped.end()) {
-    return;  // already dropped
-  }
-  const auto& extras = extra_holders_[block.id];
-  FLEXMR_ASSERT_MSG(
-      std::find(block.replicas.begin(), block.replicas.end(), node) !=
-              block.replicas.end() ||
-          std::find(extras.begin(), extras.end(), node) != extras.end(),
-      "disk fault on a node that never held this block");
-  dropped.push_back(node);
-  any_dropped_ = true;
-  if (!active_[node]) return;  // counts already zeroed by deactivate_node
-  for (const BlockUnitId bu : block.bus) {
+void BlockLocationIndex::replica_lost(std::uint32_t block, NodeId node) {
+  for (const BlockUnitId bu : layout_->blocks[block].bus) {
     if (taken_[bu]) continue;
     FLEXMR_ASSERT(counts_[node] > 0);
     --counts_[node];
+  }
+}
+
+void BlockLocationIndex::replica_landed(std::uint32_t block, NodeId node) {
+  const Block& landed = layout_->blocks[block];
+  auto& list = node_lists_[node];
+  if (std::find(list.begin(), list.end(), landed.bus.front()) != list.end()) {
+    // The pool kept the units of a copy a disk fault destroyed: they count
+    // again where they stand, so the scan restarts from the front.
+    cursor_[node] = 0;
+  } else {
+    list.insert(list.end(), landed.bus.begin(), landed.bus.end());
+  }
+  for (const BlockUnitId bu : landed.bus) {
+    if (!taken_[bu]) ++counts_[node];
   }
 }
 

@@ -9,9 +9,14 @@
 //
 // Determinism: per-node BU lists are stored in placement order and consumed
 // through a cursor, so iteration never depends on hash ordering.
+//
+// Which nodes serve a block is the NameNode's answer, not the index's: once
+// attached to a ReplicaManager the index reads a block's live holders from
+// it, and the manager keeps the local pools in step as nodes die and
+// rejoin, disks fail and repairs land. With no manager attached (a run
+// without faults) the static layout is the view.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -20,9 +25,14 @@
 
 namespace flexmr::hdfs {
 
+class ReplicaManager;
+
 class BlockLocationIndex {
  public:
   BlockLocationIndex(const FileLayout& layout, std::uint32_t num_nodes);
+  // The attached ReplicaManager holds this index's address.
+  BlockLocationIndex(const BlockLocationIndex&) = delete;
+  BlockLocationIndex& operator=(const BlockLocationIndex&) = delete;
 
   /// Total BUs still unprocessed.
   std::size_t unprocessed() const { return unprocessed_; }
@@ -53,64 +63,43 @@ class BlockLocationIndex {
   /// the pool so mitigation tasks can re-take it).
   void put_back(const std::vector<BlockUnitId>& bus);
 
-  // ---- live replica view (data-plane fault tolerance) -------------------
-  //
-  // When a node is declared lost its replicas stop being takeable: the
-  // node's local pool shrinks to zero and take/put bookkeeping skips it.
-  // A rejoin restores the pool; re-replication grows another node's pool
-  // by the rehosted block's unprocessed BUs. With no deactivations the
-  // index behaves byte-identically to the static layout view.
-
-  /// Drop `node` from the live view: its local pool empties and replica
-  /// counting ignores it until restore_node.
-  void deactivate_node(NodeId node);
-
-  /// Re-admit `node` (rejoin block report): its local pool is recounted
-  /// from its placement-order list.
-  void restore_node(NodeId node);
-
-  /// A re-replication copy (or reconstructed erasure part) of `block`
-  /// landed on `node`: the block's BUs join the node's local pool. If the
-  /// node previously lost its copy of this block to a disk fault
-  /// (drop_replica), the repair re-arms that holder instead of adding a
-  /// duplicate entry.
-  void add_replica(const Block& block, NodeId node);
-
-  /// A single-disk fault destroyed `node`'s copy/part of `block` while the
-  /// node stayed alive: only that one block leaves the node's local pool
-  /// (deactivate_node removes all of them). Idempotent; `node` must hold
-  /// the block. The drop persists across deactivate/restore cycles — the
-  /// data is gone until a repair lands (add_replica).
-  void drop_replica(const Block& block, NodeId node);
-
-  /// True when `node`'s copy of `block` was destroyed by drop_replica and
-  /// has not been repaired since.
-  bool holder_dropped(std::uint32_t block, NodeId node) const {
-    if (!any_dropped_) return false;
-    const auto& dropped = dropped_holders_[block];
-    return std::find(dropped.begin(), dropped.end(), node) != dropped.end();
-  }
+  /// True when `node` serves `block` from its own disk: a live holder in
+  /// the attached ReplicaManager's view, or a layout holder when none is.
+  bool serves(std::uint32_t block, NodeId node) const;
 
   std::uint32_t num_nodes() const {
     return static_cast<std::uint32_t>(node_lists_.size());
   }
 
  private:
+  // Pool upkeep. The ReplicaManager this index is attached to owns replica
+  // liveness and calls these after each change to its live view.
+  friend class ReplicaManager;
+
+  /// Starts reading holders from `replicas`. When its view has left the
+  /// layout, copies that repair landed join their holders' pools (per
+  /// node in ascending block id) and every pool is recounted.
+  void attach(const ReplicaManager& replicas, bool view_changed);
+  /// The node died: its pool serves nothing until node_restored.
+  void node_lost(NodeId node);
+  /// The node's block report: its pool is recounted.
+  void node_restored(NodeId node);
+  /// A disk fault destroyed the node's copy of `block`.
+  void replica_lost(std::uint32_t block, NodeId node);
+  /// A repair copy of `block` landed on `node`. A block the pool still
+  /// lists (its copy was lost to a disk) counts again; any other joins the
+  /// end of the pool.
+  void replica_landed(std::uint32_t block, NodeId node);
+
+  const std::vector<NodeId>& holders(std::uint32_t block) const;
   void take_one(BlockUnitId bu);
 
   const FileLayout* layout_;
+  const ReplicaManager* replicas_ = nullptr;
   std::vector<std::vector<BlockUnitId>> node_lists_;  // placement order
   std::vector<std::size_t> cursor_;                   // per-node scan cursor
   std::vector<std::size_t> counts_;                   // per-node unprocessed
   std::vector<char> taken_;
-  std::vector<char> active_;
-  /// Re-replication targets per block, beyond the layout's replica set.
-  std::vector<std::vector<NodeId>> extra_holders_;
-  /// Holders whose copy of a block was destroyed by a disk fault while the
-  /// node stayed alive (drop_replica). Checked on every take/put only once
-  /// any_dropped_ flips, so the default path stays branch-cheap.
-  std::vector<std::vector<NodeId>> dropped_holders_;
-  bool any_dropped_ = false;
   std::size_t unprocessed_ = 0;
 };
 

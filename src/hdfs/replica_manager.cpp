@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "hdfs/block_index.hpp"
 #include "obs/profiler.hpp"
 #include "obs/tracer.hpp"
 
@@ -42,6 +43,11 @@ void ReplicaManager::enable_re_replication(Simulator& sim,
   bandwidth_mibps_ = bandwidth_mibps;
 }
 
+void ReplicaManager::attach(BlockLocationIndex& index) {
+  index_ = &index;
+  index.attach(*this, view_changed_);
+}
+
 bool ReplicaManager::holds_live(std::uint32_t block, NodeId node) const {
   const auto& holders = live_holders_[block];
   return std::find(holders.begin(), holders.end(), node) != holders.end();
@@ -52,6 +58,7 @@ ReplicaManager::NodeLossReport ReplicaManager::on_node_lost(NodeId node) {
   if (!alive_[node]) return report;
   alive_[node] = 0;
   live_block_count_[node] = 0;
+  view_changed_ = true;
 
   // An in-flight copy reading from or writing to the dead node is torn
   // down; the block re-enters the queue at the front so recovery resumes
@@ -88,6 +95,7 @@ ReplicaManager::NodeLossReport ReplicaManager::on_node_lost(NodeId node) {
       enqueue(block);
     }
   }
+  if (index_ != nullptr) index_->node_lost(node);
   pump();
   return report;
 }
@@ -95,6 +103,7 @@ ReplicaManager::NodeLossReport ReplicaManager::on_node_lost(NodeId node) {
 ReplicaManager::NodeLossReport ReplicaManager::on_disk_lost(
     NodeId node, std::uint32_t disk, std::uint32_t disks_per_node) {
   NodeLossReport report;
+  view_changed_ = true;
   auto& blocks = node_blocks_[node];
   for (std::size_t i = 0; i < blocks.size();) {
     const std::uint32_t block = blocks[i];
@@ -135,6 +144,7 @@ ReplicaManager::NodeLossReport ReplicaManager::on_disk_lost(
       FLEXMR_ASSERT(live_block_count_[node] > 0);
       --live_block_count_[node];
       report.lost.push_back(block);
+      if (index_ != nullptr) index_->replica_lost(block, node);
       if (holders.size() < min_live_) {
         report.zero.push_back(block);
         if (holders.size() + 1 == min_live_) ++unreadable_count_;
@@ -161,6 +171,7 @@ std::vector<std::uint32_t> ReplicaManager::on_node_restored(NodeId node) {
     restored.push_back(block);
     if (holders.size() < target_holders_) enqueue(block);
   }
+  if (index_ != nullptr) index_->node_restored(node);
   // Parked blocks were waiting for a viable target; the rejoined node may
   // be one.
   for (const std::uint32_t block : parked_) {
@@ -260,6 +271,8 @@ void ReplicaManager::finish_copy(std::uint32_t block, NodeId target) {
   disk_holders_[block].push_back(target);
   node_blocks_[target].push_back(block);
   ++live_block_count_[target];
+  view_changed_ = true;
+  if (index_ != nullptr) index_->replica_landed(block, target);
   if (live_holders_[block].size() < target_holders_) enqueue(block);
   if (on_copy_complete_) on_copy_complete_(block, target);
   pump();

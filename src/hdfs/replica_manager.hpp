@@ -34,6 +34,10 @@
 // restores its replicas; over-replication after a rejoin is tolerated,
 // exactly as in HDFS).
 //
+// The manager owns replica liveness for the AM as well: the AM's block
+// index (BlockLocationIndex, attach()) reads live holders from here, and
+// every change below updates the index's local pools in the same call.
+//
 // The pipeline copies one block at a time: HDFS throttles re-replication
 // (dfs.namenode.replication.max-streams / dfs.datanode.balance.bandwidth-
 // PerSec) so recovery is deliberately slow relative to task traffic. Target
@@ -57,6 +61,8 @@ class EventTracer;
 
 namespace flexmr::hdfs {
 
+class BlockLocationIndex;
+
 class ReplicaManager {
  public:
   /// What one node death (or single-disk loss) did to the replica map.
@@ -73,6 +79,9 @@ class ReplicaManager {
       std::function<void(std::uint32_t block, NodeId target)>;
 
   ReplicaManager(const FileLayout& layout, std::uint32_t num_nodes);
+  // Pipeline events and the attached index hold this manager's address.
+  ReplicaManager(const ReplicaManager&) = delete;
+  ReplicaManager& operator=(const ReplicaManager&) = delete;
 
   /// Turns the re-replication pipeline on. Without this call the manager
   /// only tracks liveness (blocks stay under-replicated until rejoin).
@@ -81,6 +90,11 @@ class ReplicaManager {
   void set_copy_complete_handler(CopyComplete handler) {
     on_copy_complete_ = std::move(handler);
   }
+
+  /// Makes `index` the AM's view of this file: it reads live holders from
+  /// here, and node loss, rejoin, disk loss and landed copies update its
+  /// local pools. A successor AM's fresh index replaces its predecessor's.
+  void attach(BlockLocationIndex& index);
 
   /// Opt-in tracing of the re-replication pipeline (one X span per copy,
   /// an instant per torn-down copy). Null disables.
@@ -93,6 +107,9 @@ class ReplicaManager {
     return queue_.size() + parked_.size() + (in_flight_ ? 1 : 0);
   }
 
+  const std::vector<NodeId>& live_holders(std::uint32_t block) const {
+    return live_holders_[block];
+  }
   std::size_t live_holder_count(std::uint32_t block) const {
     return live_holders_[block].size();
   }
@@ -164,6 +181,9 @@ class ReplicaManager {
   double bandwidth_mibps_ = 0.0;
   CopyComplete on_copy_complete_;
   obs::EventTracer* tracer_ = nullptr;
+  BlockLocationIndex* index_ = nullptr;
+  /// The live view has left the static layout (a loss or a landed copy).
+  bool view_changed_ = false;
 
   std::vector<std::vector<NodeId>> live_holders_;  // per block
   std::vector<std::vector<NodeId>> disk_holders_;  // per block

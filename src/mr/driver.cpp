@@ -92,28 +92,32 @@ void JobDriver::start() {
     }
   }
 
-  if (!plan_.empty()) {
-    // The live NameNode view only matters when nodes can die; without
-    // faults the static layout is already the truth. A recovered attempt
-    // adopts its predecessor's (the replica map must not forget deaths);
-    // only the handlers are re-pointed at this driver.
-    if (!replica_mgr_) {
-      replica_mgr_ = std::make_unique<hdfs::ReplicaManager>(
-          *layout_, cluster_->num_nodes());
-      if (plan_.re_replication) {
-        // Under rs(k,m) the pipeline reconstructs parts instead of copying
-        // replicas; its budget comes from the storage policy so repair
-        // traffic is priced against PR 4's re-replication knob.
-        replica_mgr_->enable_re_replication(
-            *sim_, layout_->storage.erasure()
-                       ? layout_->storage.repair_bandwidth_mibps
-                       : plan_.re_replication_bandwidth_mibps);
-      }
+  // The live NameNode view only matters when nodes can die; without
+  // faults the static layout is already the truth. A recovered attempt
+  // adopts its predecessor's (the replica map must not forget deaths) —
+  // also a shared-cluster job's, which its coordinator's node deaths built
+  // without a plan of its own — and attaches its fresh block index to it.
+  if (!plan_.empty() && !replica_mgr_) {
+    replica_mgr_ = std::make_unique<hdfs::ReplicaManager>(
+        *layout_, cluster_->num_nodes());
+    if (plan_.re_replication) {
+      // Under rs(k,m) the pipeline reconstructs parts instead of copying
+      // replicas; its budget comes from the storage policy so repair
+      // traffic is priced against PR 4's re-replication knob.
+      replica_mgr_->enable_re_replication(
+          *sim_, layout_->storage.erasure()
+                     ? layout_->storage.repair_bandwidth_mibps
+                     : plan_.re_replication_bandwidth_mibps);
     }
+  }
+  if (replica_mgr_) {
+    replica_mgr_->attach(index_);
     replica_mgr_->set_copy_complete_handler(
         [this](std::uint32_t block, NodeId target) {
           on_block_re_replicated(block, target);
         });
+  }
+  if (!plan_.empty()) {
     if (!injector_) {
       injector_ = std::make_unique<faults::FaultInjector>(plan_, params_.seed);
     }
@@ -140,17 +144,6 @@ void JobDriver::start() {
         rm_.record_heartbeat(node, sim_->now());
       }
     }
-  } else if (replica_mgr_) {
-    // An adopted NameNode view with an empty local plan: multi-job drivers
-    // learn of node deaths from the coordinator (which creates the replica
-    // map lazily), so a successor attempt can inherit one without owning an
-    // injector. Only the handler is re-pointed — building an injector from
-    // the empty plan would make restore_from_journal treat every RM-dead
-    // node as rejoined.
-    replica_mgr_->set_copy_complete_handler(
-        [this](std::uint32_t block, NodeId target) {
-          on_block_re_replicated(block, target);
-        });
   }
 
   if (owned_rm_) {
@@ -184,6 +177,12 @@ void JobDriver::start() {
 
   reoffer_later();
   sim_->schedule_after(params_.heartbeat_period_s, [this]() { heartbeat(); });
+
+  // A shared cluster's node that died while no attempt of this job was up
+  // (before admission, or during AM downtime) takes the loss path now.
+  for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
+    if (rm_.is_dead(node)) notify_node_failure(node);
+  }
 }
 
 bool JobDriver::handle_offer(NodeId node) {

@@ -37,6 +37,7 @@ void JobDriver::ensure_replica_manager() {
   // fault plan, which a shared-RM coordinator does not install.
   replica_mgr_ = std::make_unique<hdfs::ReplicaManager>(
       *layout_, cluster_->num_nodes());
+  replica_mgr_->attach(index_);
 }
 
 void JobDriver::notify_node_failure(NodeId node) {
@@ -66,13 +67,12 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
   pending_ips_samples_[node].clear();
   ++cluster_view_version_;
 
-  // NameNode first: the node's replicas leave the live view (and the
-  // index's local pools) before any BU is put back, so reclaimed work
+  // NameNode first: the node's replicas leave the live view (and with it
+  // the index's local pools) before any BU is put back, so reclaimed work
   // can only be re-taken from surviving holders.
   hdfs::ReplicaManager::NodeLossReport replica_report;
   if (replica_mgr_) {
     replica_report = replica_mgr_->on_node_lost(node);
-    index_.deactivate_node(node);
     for (const std::uint32_t block : replica_report.lost) {
       record_fault(layout_->storage.erasure()
                        ? faults::FaultEventType::kPartLost
@@ -269,7 +269,6 @@ void JobDriver::on_block_re_replicated(std::uint32_t block, NodeId target) {
   if (replica_mgr_) {
     result_.repair_read_mib = replica_mgr_->repair_read_mib();
   }
-  index_.add_replica(layout_->blocks[block], target);
   scheduler_->on_block_rehosted(*this, block, target);
   // The new local pool may unblock a scheduler that declined its slots.
   reoffer_later();
@@ -292,10 +291,6 @@ void JobDriver::on_disk_fault(NodeId node, std::uint32_t disk) {
                      ? faults::FaultEventType::kPartLost
                      : faults::FaultEventType::kReplicaLost,
                  node, kInvalidTask, 0, block);
-    // The index mirrors the loss so local pools and locality credit stop
-    // counting the destroyed copy (it survives node deactivate/restore:
-    // a rejoin's block report cannot resurrect a dead disk).
-    index_.drop_replica(layout_->blocks[block], node);
   }
   check_data_loss(report.zero);
   // Locality changed under the schedulers' feet; re-offer so delay
@@ -345,7 +340,6 @@ void JobDriver::on_node_rejoin(NodeId node) {
     // Block report: a crash does not wipe the disk, so every replica the
     // node held returns to the live view and the index's local pools.
     replica_mgr_->on_node_restored(node);
-    index_.restore_node(node);
   }
   scheduler_->on_node_recovered(*this, node);
   reoffer_later();

@@ -52,15 +52,7 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
     // Locality against the *live* replica set when the NameNode is live:
     // a re-replicated copy makes the BU local to its new host, a dead
     // holder no longer counts.
-    bool holds = false;
-    if (replica_mgr_) {
-      holds = replica_mgr_->holds_live(unit.block, node);
-    } else {
-      const auto& replicas = layout_->replicas_of(bu);
-      holds = std::find(replicas.begin(), replicas.end(), node) !=
-              replicas.end();
-    }
-    if (holds) {
+    if (index_.serves(unit.block, node)) {
       if (part_share != 1.0 || disk_windows) {
         // A degraded disk serves its resident part/replica below media
         // speed; the shortfall reads remotely, so the BU simply loses that

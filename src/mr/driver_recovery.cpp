@@ -1,7 +1,5 @@
 #include "mr/driver_internal.hpp"
 
-#include <algorithm>
-
 namespace flexmr::mr {
 
 void JobDriver::set_journal(recover::JobJournal* journal) {
@@ -97,47 +95,23 @@ std::unique_ptr<JobDriver> JobDriver::successor(yarn::ResourceManager& rm) {
 void JobDriver::restore_from_journal() {
   const recover::RecoveredState& rec = *recovered_;
 
-  // The fresh index catches up with the NameNode view before any dead node
-  // is deactivated (so a later rejoin's recount sees it) and before any BU
-  // is taken: static holders it no longer remembers lost their copy to a
-  // disk and are dropped (a repair landing there re-arms them), and
-  // replicas grown by re-replication join.
-  if (replica_mgr_) {
-    for (std::uint32_t b = 0;
-         b < static_cast<std::uint32_t>(layout_->blocks.size()); ++b) {
-      const hdfs::Block& block = layout_->blocks[b];
-      const std::vector<NodeId>& holders = replica_mgr_->remembered_holders(b);
-      for (const NodeId holder : block.replicas) {
-        if (std::find(holders.begin(), holders.end(), holder) ==
-            holders.end()) {
-          index_.drop_replica(block, holder);
-        }
-      }
-      for (const NodeId holder : holders) {
-        if (std::find(block.replicas.begin(), block.replicas.end(),
-                      holder) == block.replicas.end()) {
-          index_.add_replica(block, holder);
-        }
-      }
-    }
-  }
-
   // Node-liveness reconciliation at re-registration: the RM remembers the
   // deaths the previous attempt detected. A node that came back while no
   // AM was alive to process its rejoin is reconciled here; silent deaths
   // the old AM never detected are re-detected by heartbeat expiry (the
-  // liveness clock ran through the AM downtime).
+  // liveness clock ran through the AM downtime). A shared cluster's node
+  // that died during the downtime is still live in the NameNode view: no
+  // attempt has processed it, and start() runs its loss path at its end.
   for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
     if (!rm_.is_dead(node)) continue;
     if (injector_ && injector_->responsive(node)) {
       rm_.mark_alive(node);
       ++cluster_view_version_;
       rm_.record_heartbeat(node, sim_->now());
-      if (replica_mgr_) replica_mgr_->on_node_restored(node);
+      replica_mgr_->on_node_restored(node);
       record_fault(faults::FaultEventType::kRejoin, node);
-    } else {
+    } else if (replica_mgr_ && !replica_mgr_->node_alive(node)) {
       failed_nodes_.insert(node);
-      index_.deactivate_node(node);
     }
   }
 

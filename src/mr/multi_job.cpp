@@ -155,12 +155,9 @@ void MultiJobCoordinator::start_job(std::size_t j) {
     ns.register_gauges = false;
     chain.set_trace(trace_, std::move(ns));
   }
+  // A job admitted after a crash learns of the dead node at the end of its
+  // start(), before any offer can try to place work there.
   chain.start();
-  // A job admitted after a crash still has the dead node in its static
-  // layout; inform it before any offer can try to place work there.
-  for (const NodeId node : dead_nodes_) {
-    chain.driver().notify_node_failure(node);
-  }
 }
 
 bool MultiJobCoordinator::handle_offer(NodeId node) {
@@ -200,9 +197,9 @@ double MultiJobCoordinator::weighted_usage(std::size_t j) const {
 void MultiJobCoordinator::on_node_failure(NodeId node) {
   // Cluster-level, exactly once: repeated injections (or overlapping
   // schedules) of the same node are collapsed here, not forwarded N times.
-  if (dead_nodes_.count(node) > 0) return;
-  dead_nodes_.insert(node);
-  if (!rm_.is_dead(node)) rm_.mark_dead(node);
+  // Jobs not running now (unadmitted, or AM down) catch up at their start.
+  if (rm_.is_dead(node)) return;
+  rm_.mark_dead(node);
   for (auto& entry : jobs_) {
     if (entry.chain->running()) entry.chain->driver().notify_node_failure(node);
   }

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -167,8 +166,6 @@ class MultiJobCoordinator {
   /// (job, time) AM kills scheduled before start().
   std::vector<std::pair<std::size_t, SimTime>> am_crashes_;
   AmBudget am_budget_;
-  /// Cluster-level ground truth: nodes already dead (applied once each).
-  std::set<NodeId> dead_nodes_;
   obs::TraceSession* trace_ = nullptr;
   PreemptionConfig preemption_;
   obs::MetricsRegistry::Counter* ctr_preemptions_ = nullptr;

@@ -1,7 +1,10 @@
 #include "workloads/experiment.hpp"
 
 #include "common/error.hpp"
+#include "flexmap/flexmap_scheduler.hpp"
 #include "recover/runner.hpp"
+#include "sched/skewtune.hpp"
+#include "sched/stock.hpp"
 #include "simcore/simulator.hpp"
 
 namespace flexmr::workloads {

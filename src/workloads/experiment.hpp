@@ -10,12 +10,9 @@
 
 #include "cluster/cluster.hpp"
 #include "faults/fault_plan.hpp"
-#include "flexmap/flexmap_scheduler.hpp"
 #include "mr/metrics.hpp"
 #include "mr/params.hpp"
 #include "mr/scheduler.hpp"
-#include "sched/skewtune.hpp"
-#include "sched/stock.hpp"
 #include "workloads/puma.hpp"
 
 namespace flexmr::obs {

@@ -313,31 +313,71 @@ TEST_F(DiskLossTest, RepairReconstructsLostPartAtKTimesReadCost) {
 }
 
 TEST(BlockIndexDiskLoss, DroppedReplicaLeavesLocalPoolAndStaysLost) {
-  hdfs::NameNode nn(6, hdfs::PlacementPolicy::kRandom, Rng(7));
+  // Three nodes at 3x replication: every node holds every block, so repair
+  // can land a lost copy only back on the node that lost it.
+  hdfs::NameNode nn(3, hdfs::PlacementPolicy::kRandom, Rng(7));
   const auto layout = nn.create_file(64.0 * 12, 64.0, 3, 8.0);
-  hdfs::BlockLocationIndex index(layout, 6);
-  const auto& block = layout.blocks[0];
-  const NodeId holder = block.replicas[0];
+  hdfs::BlockLocationIndex index(layout, 3);
+  hdfs::ReplicaManager mgr(layout, 3);
+  Simulator sim;
+  mgr.enable_re_replication(sim, 64.0);
+  mgr.attach(index);
+  const NodeId holder = layout.blocks[0].replicas[0];
+  const std::uint32_t disk = hdfs::ReplicaManager::disk_of(0, holder, 4);
   const std::size_t before = index.local_count(holder);
-  index.drop_replica(block, holder);
-  EXPECT_EQ(index.local_count(holder), before - block.bus.size());
+  const auto report = mgr.on_disk_lost(holder, disk, 4);
+  std::size_t lost_units = 0;
+  for (const std::uint32_t b : report.lost) {
+    lost_units += layout.blocks[b].bus.size();
+  }
+  ASSERT_GT(lost_units, 0u);
+  EXPECT_EQ(index.local_count(holder), before - lost_units);
   auto taken = index.take_local(holder, layout.bus.size());
   for (const BlockUnitId bu : taken) {
-    EXPECT_NE(layout.bus[bu].block, block.id)
+    EXPECT_NE(hdfs::ReplicaManager::disk_of(layout.bus[bu].block, holder, 4),
+              disk)
         << "dropped block must not bind locally";
   }
   index.put_back(taken);
-  // Deactivate/restore (crash + rejoin block report) must not resurrect
-  // the destroyed copy...
-  index.deactivate_node(holder);
-  index.restore_node(holder);
-  EXPECT_EQ(index.local_count(holder), before - block.bus.size());
-  // ...but a repair landing the data back on the node re-arms it.
-  index.add_replica(block, holder);
+  // A crash and the rejoin's block report must not resurrect the
+  // destroyed copies...
+  mgr.on_node_lost(holder);
+  EXPECT_EQ(index.local_count(holder), 0u);
+  mgr.on_node_restored(holder);
+  EXPECT_EQ(index.local_count(holder), before - lost_units);
+  // ...but repair landing the data back on the node re-arms it.
+  while (sim.step()) {
+  }
+  EXPECT_EQ(mgr.under_replicated_count(), 0u);
   EXPECT_EQ(index.local_count(holder), before);
-  index.drop_replica(block, holder);  // idempotent on a second loss
-  index.drop_replica(block, holder);
-  EXPECT_EQ(index.local_count(holder), before - block.bus.size());
+  mgr.on_disk_lost(holder, disk, 4);
+  EXPECT_TRUE(mgr.on_disk_lost(holder, disk, 4).lost.empty())
+      << "a second loss of the same disk is a no-op";
+  EXPECT_EQ(index.local_count(holder), before - lost_units);
+}
+
+// A disk lost while its node is down stays lost after the rejoin: the
+// node's pool counts only what its block report lists.
+TEST(BlockIndexDiskLoss, DiskLostWhileNodeIsDownStaysLostAfterRejoin) {
+  hdfs::NameNode nn(6, hdfs::PlacementPolicy::kRandom, Rng(7));
+  const auto layout = nn.create_file(64.0 * 24, 64.0, 3, 8.0);
+  hdfs::BlockLocationIndex index(layout, 6);
+  hdfs::ReplicaManager mgr(layout, 6);
+  mgr.attach(index);
+  const NodeId holder = layout.blocks[0].replicas[0];
+  const std::uint32_t disk = hdfs::ReplicaManager::disk_of(0, holder, 4);
+  const std::size_t before = index.local_count(holder);
+  mgr.on_node_lost(holder);
+  EXPECT_TRUE(mgr.on_disk_lost(holder, disk, 4).lost.empty());
+  mgr.on_node_restored(holder);
+  EXPECT_LT(index.local_count(holder), before);
+  for (NodeId node = 0; node < 6; ++node) {
+    std::size_t live_units = 0;
+    for (const auto& block : layout.blocks) {
+      if (mgr.holds_live(block.id, node)) live_units += block.bus.size();
+    }
+    EXPECT_EQ(index.local_count(node), live_units) << "node " << node;
+  }
 }
 
 // ---------------------------------------------------------------------------

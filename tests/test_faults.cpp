@@ -261,6 +261,23 @@ TEST_P(FaultSweep, SingleNodeLossAtReplicationThreeSurvives) {
   EXPECT_NE(json.find("\"re-replicated\""), std::string::npos);
 }
 
+TEST_P(FaultSweep, DiskLostWhileNodeIsDownStaysLostAfterRejoin) {
+  // Node 2 is down when its disk 1 fails, so the rejoin's block report no
+  // longer lists that disk's copies. Repair may land them back there; the
+  // job must neither count them twice nor bind them locally before.
+  auto cluster = cluster::presets::homogeneous6();
+  RunConfig config;
+  config.faults.crashes = {NodeCrash{2, 10.0, 25.0, false}};
+  config.faults.disk_faults = {faults::DiskFault{2, 1, 15.0}};
+  const auto result = workloads::run_job(
+      cluster, bench_with(16384.0, 0.25), InputScale::kSmall, GetParam(),
+      config);
+  EXPECT_FALSE(result.aborted);
+  check_exactly_once(result, 2048);
+  EXPECT_EQ(count_events(result, FaultEventType::kRejoin), 1u);
+  EXPECT_GT(count_events(result, FaultEventType::kReReplicated), 0u);
+}
+
 TEST_P(FaultSweep, TransientFetchFailuresRetryAndComplete) {
   // Reducers hit transient shuffle-fetch failures, back off, retry, and
   // the job still completes with every BU credited exactly once.

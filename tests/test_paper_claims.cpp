@@ -6,6 +6,7 @@
 
 #include "cluster/presets.hpp"
 #include "common/stats.hpp"
+#include "flexmap/flexmap_scheduler.hpp"
 #include "workloads/experiment.hpp"
 
 namespace flexmr {

@@ -359,6 +359,52 @@ TEST(Recovery, MultiJobSurvivesSingleAmCrash) {
   EXPECT_EQ(fnv1a(mr::job_result_json(results[1])), 0x63ff0d7440ba6995ull);
 }
 
+// A node that dies while a shared-cluster job's AM is down takes the loss
+// path in the successor: the outputs of the job's maps there are lost and
+// re-run, as when the node dies just before the AM crash.
+TEST(Recovery, MultiJobNodeDeathDuringAmDowntimeLosesItsOutputs) {
+  for (const SimTime death : {17.45, 19.0}) {
+    auto cluster = cluster::presets::homogeneous6();
+    Simulator sim;
+    const auto bench = bench_with(1024.0, 0.25);
+    const auto layout = workloads::make_layout(
+        bench, InputScale::kSmall, cluster.num_nodes(), 64.0, 3, 7);
+    const auto spec = workloads::to_job_spec(bench, InputScale::kSmall);
+    const auto sched_a =
+        workloads::make_scheduler(SchedulerKind::kHadoopNoSpec);
+    const auto sched_b =
+        workloads::make_scheduler(SchedulerKind::kHadoopNoSpec);
+    mr::MultiJobCoordinator coord(sim, cluster, mr::SharePolicy::kFair);
+    coord.submit(layout, spec, mr::SimParams{}, *sched_a, 0.0);
+    coord.submit(layout, spec, mr::SimParams{}, *sched_b, 0.0);
+    coord.set_am_recovery({2, 30.0});
+    coord.schedule_am_crash(0, 17.5);
+    coord.schedule_node_failure(1, death);
+    const mr::JobResult result = coord.run_all()[0];
+
+    EXPECT_FALSE(result.aborted) << "death at " << death;
+    EXPECT_EQ(result.am_restarts, 1u) << "death at " << death;
+    EXPECT_EQ(credited_bus(result), 128u) << "death at " << death;
+    std::size_t lost = 0;
+    for (const auto& task : result.tasks) {
+      if (task.kind != mr::TaskKind::kMap || task.node != 1) continue;
+      EXPECT_FALSE(task.credited())
+          << "death at " << death << ": map " << task.id;
+      if (task.status == mr::TaskStatus::kLostOutput) ++lost;
+    }
+    EXPECT_EQ(lost, 3u) << "death at " << death;
+    for (const auto type : {faults::FaultEventType::kCrash,
+                            faults::FaultEventType::kDetected}) {
+      EXPECT_TRUE(std::any_of(result.fault_events.begin(),
+                              result.fault_events.end(),
+                              [type](const faults::FaultEvent& e) {
+                                return e.type == type && e.node == 1;
+                              }))
+          << "death at " << death << ": no " << faults::to_string(type);
+    }
+  }
+}
+
 // The multi-job attempt budget: a second crash on a 2-attempt budget kills
 // the job for good while the neighbour still finishes.
 TEST(Recovery, MultiJobAmBudgetExhaustionAbortsOnlyThatJob) {
