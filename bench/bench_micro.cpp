@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.hpp"
+#include "bench/scale_grid.hpp"
 #include "cluster/presets.hpp"
 #include "flexmap/speed_monitor.hpp"
 #include "hdfs/block_index.hpp"
@@ -48,24 +49,50 @@ void BM_EventCancellation(benchmark::State& state) {
 BENCHMARK(BM_EventCancellation)->Arg(1 << 14);
 
 void BM_BlockIndexTakeLocal(benchmark::State& state) {
-  // 256 GB at 8 MB BUs on 39 nodes: the fig8-scale index.
+  // 64 GiB at 8 MB BUs, index built and drained: on 39 nodes with 3-way
+  // replication the fig8-scale index, on 512 nodes with rs(6,3) the
+  // storage of perfbench's faults workload (Args: nodes, erasure).
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  const hdfs::StoragePolicy storage = state.range(1) != 0
+                                          ? hdfs::StoragePolicy::rs(6, 3)
+                                          : hdfs::StoragePolicy{};
   Rng rng(7);
-  hdfs::NameNode nn(39, hdfs::PlacementPolicy::kRandom, rng);
-  const auto layout = nn.create_file(gib_to_mib(64), 64.0, 3);
+  hdfs::NameNode nn(nodes, hdfs::PlacementPolicy::kRandom, rng);
+  const auto layout =
+      nn.create_file(gib_to_mib(64), 64.0, 3, kBlockUnitMiB, storage);
   for (auto _ : state) {
-    hdfs::BlockLocationIndex index(layout, 39);
+    hdfs::BlockLocationIndex index(layout, nodes);
     NodeId node = 0;
     while (index.unprocessed() > 0) {
       auto taken = index.take_local(node, 16);
       if (taken.empty()) taken = index.take_remote(node, 16);
       benchmark::DoNotOptimize(taken.size());
-      node = (node + 1) % 39;
+      node = (node + 1) % nodes;
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(layout.bus.size()) *
                           state.iterations());
 }
-BENCHMARK(BM_BlockIndexTakeLocal);
+BENCHMARK(BM_BlockIndexTakeLocal)->Args({39, 0})->Args({512, 1});
+
+void BM_MakeLayout(benchmark::State& state) {
+  // bench_scale's input at 10 tasks/node: one 64 MB block per task, 3-way
+  // replication, lognormal record skew. Placement costs O(replicas) per
+  // block, so the time per block (items/s) should not fall as the cluster
+  // grows.
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  const auto bench = bench::make_scale_benchmark(nodes, 10);
+  std::size_t blocks = 0;
+  for (auto _ : state) {
+    const auto layout = workloads::make_layout(
+        bench, workloads::InputScale::kSmall, nodes, kDefaultBlockMiB, 3, 7);
+    blocks = layout.blocks.size();
+    benchmark::DoNotOptimize(layout.blocks.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(blocks) *
+                          state.iterations());
+}
+BENCHMARK(BM_MakeLayout)->Arg(600)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_SpeedMonitorUpdateQuery(benchmark::State& state) {
   flexmap::SpeedMonitor monitor(40);

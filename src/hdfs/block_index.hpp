@@ -7,8 +7,11 @@
 // uses the same index at block granularity (take_block), so the invariant
 // holds uniformly across schedulers.
 //
-// Determinism: per-node BU lists are stored in placement order and consumed
-// through a cursor, so iteration never depends on hash ordering.
+// Each node's pool lists the blocks it holds, one entry per block in
+// placement order; a block's BUs are a contiguous id range taken in
+// ascending order, and the block keeps a count of its unprocessed BUs, so
+// a walk skips a spent or unserved block in one step. Pools are consumed
+// through a per-node cursor, so iteration never depends on hash ordering.
 //
 // Which nodes serve a block is the NameNode's answer, not the index's: once
 // attached to a ReplicaManager the index reads a block's live holders from
@@ -18,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -68,7 +72,7 @@ class BlockLocationIndex {
   bool serves(std::uint32_t block, NodeId node) const;
 
   std::uint32_t num_nodes() const {
-    return static_cast<std::uint32_t>(node_lists_.size());
+    return static_cast<std::uint32_t>(pools_.size());
   }
 
  private:
@@ -91,15 +95,50 @@ class BlockLocationIndex {
   /// end of the pool.
   void replica_landed(std::uint32_t block, NodeId node);
 
+  /// One block's BUs: ids [first, first + size), `free` of them
+  /// unprocessed.
+  struct Units {
+    BlockUnitId first = 0;
+    std::uint32_t size = 0;
+    std::uint32_t free = 0;
+  };
+  /// A node's local pool: the blocks it holds in placement order, and the
+  /// scan cursor — the BU at `offset` within the block at `next`.
+  struct Pool {
+    std::vector<std::uint32_t> blocks;
+    std::size_t next = 0;
+    std::uint32_t offset = 0;
+
+    void rewind() {
+      next = 0;
+      offset = 0;
+    }
+  };
+
   const std::vector<NodeId>& holders(std::uint32_t block) const;
-  void take_one(BlockUnitId bu);
+  /// `node` can take a BU of `block` now.
+  bool available(std::uint32_t block, NodeId node) const {
+    return units_[block].free > 0 && serves(block, node);
+  }
+  /// Takes `block`'s free BUs from `offset` on until `out` holds `n`;
+  /// returns the offset past the last BU looked at.
+  std::uint32_t take_from(std::uint32_t block, std::uint32_t offset,
+                          std::size_t n, std::vector<BlockUnitId>& out);
+  /// Sets the taken flag of every BU of `run` to `taken`, or throws with
+  /// `msg` and no flag changed when one of them already holds it.
+  void mark(std::span<const BlockUnitId> run, bool taken, const char* msg);
+  /// `count` BUs of `block` were taken (debit) or put back (credit): the
+  /// block's free count, every live holder's count and `unprocessed_`
+  /// move by `count`, and a credit rewinds each holder's cursor.
+  void debit(std::uint32_t block, std::size_t count);
+  void credit(std::uint32_t block, std::size_t count);
 
   const FileLayout* layout_;
   const ReplicaManager* replicas_ = nullptr;
-  std::vector<std::vector<BlockUnitId>> node_lists_;  // placement order
-  std::vector<std::size_t> cursor_;                   // per-node scan cursor
-  std::vector<std::size_t> counts_;                   // per-node unprocessed
-  std::vector<char> taken_;
+  std::vector<Units> units_;         // per block
+  std::vector<Pool> pools_;          // per node
+  std::vector<std::size_t> counts_;  // per node: unprocessed BUs it serves
+  std::vector<char> taken_;          // per BU
   std::size_t unprocessed_ = 0;
 };
 

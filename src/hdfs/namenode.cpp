@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "obs/profiler.hpp"
 
 namespace flexmr::hdfs {
 
@@ -45,8 +47,9 @@ void StoragePolicy::validate(std::uint32_t alive_nodes) const {
 }
 
 NameNode::NameNode(std::uint32_t num_nodes, PlacementPolicy policy, Rng rng)
-    : num_nodes_(num_nodes), policy_(policy), rng_(rng) {
+    : num_nodes_(num_nodes), policy_(policy), rng_(rng), pool_(num_nodes) {
   FLEXMR_ASSERT(num_nodes > 0);
+  std::iota(pool_.begin(), pool_.end(), NodeId{0});
 }
 
 std::vector<NodeId> NameNode::place_replicas(std::uint32_t count) {
@@ -60,15 +63,20 @@ std::vector<NodeId> NameNode::place_replicas(std::uint32_t count) {
     next_rr_ = (next_rr_ + 1) % num_nodes_;
     return replicas;
   }
-  // Random distinct nodes via partial Fisher-Yates over node ids.
-  std::vector<NodeId> pool(num_nodes_);
-  for (NodeId i = 0; i < num_nodes_; ++i) pool[i] = i;
+  // Random distinct nodes via partial Fisher-Yates over node ids. Draw i
+  // swaps positions i and j >= i and keeps the node that lands at i; no
+  // later draw reads a position below i, so only j is written. The pool
+  // is the identity outside the displaced positions, which are restored
+  // after the block: O(count) per block, not O(nodes).
   for (std::uint32_t i = 0; i < count; ++i) {
     const auto j = i + static_cast<std::uint32_t>(
                            rng_.uniform_int(num_nodes_ - i));
-    std::swap(pool[i], pool[j]);
-    replicas.push_back(pool[i]);
+    replicas.push_back(pool_[j]);
+    pool_[j] = pool_[i];
+    displaced_.push_back(j);
   }
+  for (const std::uint32_t j : displaced_) pool_[j] = j;
+  displaced_.clear();
   std::sort(replicas.begin(), replicas.end());
   return replicas;
 }
@@ -76,6 +84,7 @@ std::vector<NodeId> NameNode::place_replicas(std::uint32_t count) {
 FileLayout NameNode::create_file(MiB size, MiB block_size,
                                  std::uint32_t replication, MiB bu_size,
                                  StoragePolicy storage) {
+  FLEXMR_PROF_SCOPE("hdfs/create_file");
   // Caller-facing misconfiguration is a ConfigError, not an assert: these
   // values come straight from RunConfig / bench flags.
   if (!(size > 0)) {
@@ -119,6 +128,9 @@ FileLayout NameNode::create_file(MiB size, MiB block_size,
 
   const auto bus_per_block =
       static_cast<std::uint32_t>(std::ceil(block_size / bu_size - 1e-9));
+  // Capacity hints only; the loop below decides the counts.
+  layout.blocks.reserve(static_cast<std::size_t>(std::ceil(size / block_size)));
+  layout.bus.reserve(static_cast<std::size_t>(std::ceil(size / bu_size)));
   MiB remaining = size;
   std::uint32_t block_id = 0;
   BlockUnitId bu_id = 0;
@@ -126,6 +138,7 @@ FileLayout NameNode::create_file(MiB size, MiB block_size,
     Block block;
     block.id = block_id;
     block.replicas = place_replicas(holders_per_block);
+    block.bus.reserve(bus_per_block);
     for (std::uint32_t i = 0; i < bus_per_block && remaining > 1e-9; ++i) {
       BlockUnit bu;
       bu.id = bu_id++;

@@ -6,6 +6,8 @@
 // a perfectly even layout.
 #pragma once
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "hdfs/block.hpp"
@@ -40,6 +42,10 @@ class NameNode {
   PlacementPolicy policy_;
   Rng rng_;
   NodeId next_rr_ = 0;
+  /// Random placement's draw pool: node ids by position, the identity
+  /// between blocks; `displaced_` lists the positions one block wrote.
+  std::vector<NodeId> pool_;
+  std::vector<std::uint32_t> displaced_;
 };
 
 }  // namespace flexmr::hdfs

@@ -45,35 +45,47 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
   MiB local = 0;
   MiB degraded = 0;
   double work = 0;
+  // What a BU's block decides — served locally, at what disk speed, read
+  // degraded — is read once per run of BUs from one block; the sums still
+  // add BU by BU.
+  std::uint32_t run_block = faults::kInvalidBlock;
+  bool served = false;
+  bool scaled = false;
+  double disk_factor = 1.0;
+  bool degraded_block = false;
   for (const BlockUnitId bu : task->bus) {
     const auto& unit = layout_->bus[bu];
+    if (unit.block != run_block) {
+      run_block = unit.block;
+      // Locality against the *live* replica set when the NameNode is
+      // live: a re-replicated copy makes the BU local to its new host, a
+      // dead holder no longer counts.
+      served = index_.serves(run_block, node);
+      // A degraded disk serves its resident part/replica below media
+      // speed; the shortfall reads remotely, so the BU simply loses that
+      // much locality credit for the window's duration.
+      scaled = served && (part_share != 1.0 || disk_windows);
+      if (scaled) {
+        disk_factor = plan_.disk_degradation_factor(
+            node,
+            hdfs::ReplicaManager::disk_of(run_block, node,
+                                          plan_.disks_per_node),
+            sim_->now());
+      }
+      // A stripe with dead parts still decodes from any k survivors, but
+      // the reader pays the reconstruction cost below.
+      degraded_block = erasure && replica_mgr_ &&
+                       replica_mgr_->live_holder_count(run_block) <
+                           layout_->storage.total_parts();
+    }
     task->size += unit.size;
     work += unit.size * unit.cost;
-    // Locality against the *live* replica set when the NameNode is live:
-    // a re-replicated copy makes the BU local to its new host, a dead
-    // holder no longer counts.
-    if (index_.serves(unit.block, node)) {
-      if (part_share != 1.0 || disk_windows) {
-        // A degraded disk serves its resident part/replica below media
-        // speed; the shortfall reads remotely, so the BU simply loses that
-        // much locality credit for the window's duration.
-        local += unit.size * part_share *
-                 plan_.disk_degradation_factor(
-                     node,
-                     hdfs::ReplicaManager::disk_of(unit.block, node,
-                                                   plan_.disks_per_node),
-                     sim_->now());
-      } else {
-        local += unit.size;
-      }
+    if (scaled) {
+      local += unit.size * part_share * disk_factor;
+    } else if (served) {
+      local += unit.size;
     }
-    // A stripe with dead parts still decodes from any k survivors, but the
-    // reader pays the reconstruction cost below.
-    if (erasure && replica_mgr_ &&
-        replica_mgr_->live_holder_count(unit.block) <
-            layout_->storage.total_parts()) {
-      degraded += unit.size;
-    }
+    if (degraded_block) degraded += unit.size;
   }
   task->avg_cost = work / task->size;
   task->local_fraction = local / task->size;

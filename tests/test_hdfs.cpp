@@ -2,7 +2,9 @@
 // exactly-once invariants that late task binding depends on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "hdfs/block_index.hpp"
 #include "hdfs/namenode.hpp"
@@ -99,6 +101,74 @@ TEST(NameNode, TotalWorkMatchesCostWeightedSize) {
   auto layout = nn.create_file(80.0, 64.0, 2, 8.0);
   for (auto& bu : layout.bus) bu.cost = 2.0;
   EXPECT_DOUBLE_EQ(layout.total_work(), 160.0);
+}
+
+/// FNV-1a over every block's id, BU range and replica list.
+std::uint64_t layout_hash(const FileLayout& layout, std::uint64_t hash) {
+  const auto mix = [&hash](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(layout.blocks.size());
+  mix(layout.bus.size());
+  for (const Block& block : layout.blocks) {
+    mix(block.id);
+    mix(block.bus.front());
+    mix(block.bus.size());
+    mix(block.replicas.size());
+    for (const NodeId node : block.replicas) mix(node);
+  }
+  return hash;
+}
+
+struct PlacementCase {
+  std::uint32_t nodes;
+  const char* policy;
+  std::uint64_t expected;
+};
+
+// Captured while placement still refilled an O(nodes) pool per block; any
+// change to which nodes a block lands on, or to how many draws a block
+// consumes, moves them. The clamp case (replication > nodes) hashes a
+// second, replication-3 file from the same NameNode, so the draws the
+// clamped file consumed are pinned too.
+constexpr PlacementCase kPlacementCases[] = {
+    {39, "rep3", 0xce76f6087f402421ull},
+    {39, "rs6.3", 0xfe369f53daf017d7ull},
+    {39, "clamp", 0xff83f391d9631dffull},
+    {600, "rep3", 0x79a551638022643eull},
+    {600, "rs6.3", 0x4f7dc8343b24ab5eull},
+    {600, "clamp", 0x75adff0db0fb799bull},
+    {10000, "rep3", 0xbe6946eaee93dcbbull},
+    {10000, "rs6.3", 0xd94d05e7c3f04bf0ull},
+    {10000, "clamp", 0x25479e67eb9977f6ull},
+};
+
+TEST(NameNode, RandomPlacementMatchesPinnedHashes) {
+  for (const PlacementCase& c : kPlacementCases) {
+    NameNode nn(c.nodes, PlacementPolicy::kRandom, Rng(c.nodes * 31 + 5));
+    const std::string policy = c.policy;
+    std::uint64_t hash = 1469598103934665603ull;
+    if (policy == "rep3") {
+      hash = layout_hash(nn.create_file(64.0 * 2000, 64.0, 3), hash);
+    } else if (policy == "rs6.3") {
+      hash = layout_hash(nn.create_file(64.0 * 2000, 64.0, 3, kBlockUnitMiB,
+                                        StoragePolicy::rs(6, 3)),
+                         hash);
+    } else {
+      const auto clamped = nn.create_file(64.0 * 5, 64.0, c.nodes + 4);
+      for (const Block& block : clamped.blocks) {
+        ASSERT_EQ(block.replicas.size(), c.nodes);
+      }
+      hash = layout_hash(clamped, hash);
+      hash = layout_hash(nn.create_file(64.0 * 200, 64.0, 3), hash);
+    }
+    EXPECT_EQ(hash, c.expected)
+        << c.nodes << " nodes, " << c.policy << ": got 0x" << std::hex
+        << hash;
+  }
 }
 
 class BlockIndexTest : public ::testing::Test {
