@@ -21,9 +21,7 @@ void trace_cluster(const char* title, cluster::Cluster cluster,
                    const std::string& series) {
   print_header(title, claim);
 
-  flexmap::FlexMapOptions options;
-  options.seed = 99;
-  flexmap::FlexMapScheduler scheduler(options);
+  flexmap::FlexMapScheduler scheduler;
   workloads::RunConfig config;
   config.params.seed = 99;
   const auto result = workloads::run_job(

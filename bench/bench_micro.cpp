@@ -94,21 +94,20 @@ void BM_MakeLayout(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeLayout)->Arg(600)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-void BM_SpeedMonitorUpdateQuery(benchmark::State& state) {
+// One 40-node heartbeat wave: every node reports, then every speed is read.
+void BM_SpeedMonitorWave(benchmark::State& state) {
   flexmap::SpeedMonitor monitor(40);
   Rng rng(3);
   for (auto _ : state) {
     for (NodeId n = 0; n < 40; ++n) {
       monitor.update(n, rng.uniform(1.0, 20.0));
     }
-    benchmark::DoNotOptimize(monitor.slowest());
-    benchmark::DoNotOptimize(monitor.fastest());
     for (NodeId n = 0; n < 40; ++n) {
-      benchmark::DoNotOptimize(monitor.relative_speed(n));
+      benchmark::DoNotOptimize(monitor.get_speed(n));
     }
   }
 }
-BENCHMARK(BM_SpeedMonitorUpdateQuery);
+BENCHMARK(BM_SpeedMonitorWave);
 
 void BM_FullSimulation(benchmark::State& state) {
   const auto kind = static_cast<workloads::SchedulerKind>(state.range(0));

@@ -46,7 +46,10 @@ std::optional<mr::MapLaunch> FlexMapScheduler::on_slot_free(
 
   // Horizontal scaling input: how fast is this node relative to the
   // slowest node the monitor has heard from?
-  const double relative = monitor_->relative_speed(node);
+  const CapacitySums& sums = capacity_sums(ctx);
+  const std::optional<MiBps> own = monitor_->get_speed(node);
+  const double relative =
+      own && sums.slowest > 0.0 ? *own / sums.slowest : 1.0;
   const std::uint32_t sized = sizer_->task_size(node, relative);
 
   // End-game guard: a task that would run longer than the map phase's
@@ -56,7 +59,7 @@ std::optional<mr::MapLaunch> FlexMapScheduler::on_slot_free(
   // Early in the phase the bound is far above the sizer's target; it only
   // binds near the end. (Engineering addition on top of Algorithm 1; the
   // paper relies on the input simply running out.)
-  const std::uint32_t cap = end_game_cap(ctx, node);
+  const std::uint32_t cap = end_game_cap(ctx, node, sums);
   const std::uint32_t target = std::min(sized, cap);
 
   BoundSplit split = binder_->bind(node, target);
@@ -143,14 +146,16 @@ FlexMapScheduler::CapacitySums& FlexMapScheduler::capacity_sums(
   // differently in any other addition order, so the walks stay in
   // ascending node order. Observed per-container rates; unreported nodes
   // assume the mean.
+  std::optional<MiBps> slowest;
   double known_sum = 0.0;
   std::size_t known = 0;
   for (NodeId n = 0; n < ctx.num_nodes(); ++n) {
+    const std::optional<MiBps> speed = monitor_->get_speed(n);
+    if (!speed) continue;
+    if (!slowest || *speed < *slowest) slowest = speed;
     if (!ctx.node_alive(n)) continue;
-    if (const auto speed = monitor_->get_speed(n)) {
-      known_sum += *speed;
-      ++known;
-    }
+    known_sum += *speed;
+    ++known;
   }
   const double fallback =
       known > 0 ? known_sum / static_cast<double>(known) : 1.0;
@@ -160,13 +165,14 @@ FlexMapScheduler::CapacitySums& FlexMapScheduler::capacity_sums(
     total += monitor_->get_speed(n).value_or(fallback) *
              ctx.machine_spec(n).slots;
   }
-  sums_ = {monitor_->generation(), view, fallback, total, std::nullopt};
+  sums_ = {monitor_->generation(), view, slowest.value_or(0.0), fallback,
+           total, std::nullopt};
   return sums_;
 }
 
 std::uint32_t FlexMapScheduler::end_game_cap(const mr::DriverContext& ctx,
-                                             NodeId node) {
-  const CapacitySums& sums = capacity_sums(ctx);
+                                             NodeId node,
+                                             const CapacitySums& sums) const {
   const double own_rate = monitor_->get_speed(node).value_or(sums.fallback);
   FLEXMR_ASSERT(sums.total > 0.0);
 

@@ -36,7 +36,6 @@ inline constexpr std::uint32_t kSizingNoteKind = 0xF1E0;
 struct FlexMapOptions {
   SizingOptions sizing;
   bool reduce_bias = true;  ///< Ablation: disable c_i^2 reduce placement.
-  std::uint64_t seed = 42;  ///< For reduce placement sampling.
   /// Keep the learned per-node speeds across jobs (§IV-G extensibility:
   /// iterative workloads like k-means re-run over the same cluster, so
   /// later iterations start with horizontal scaling already calibrated).
@@ -113,12 +112,17 @@ class FlexMapScheduler final : public mr::Scheduler {
   }
 
  private:
-  /// The cluster-wide sums behind end_game_cap and capacity_share, cached
-  /// per (SpeedMonitor generation, cluster-view version): they move only
-  /// on heartbeat rounds and liveness changes, not per offer.
+  /// What FlexMap derives from the SpeedMonitor's readings — the slowest
+  /// speed behind horizontal scaling and the cluster-wide sums behind
+  /// end_game_cap and capacity_share — cached per (SpeedMonitor
+  /// generation, cluster-view version): they move only on heartbeat rounds
+  /// and liveness changes, not per offer.
   struct CapacitySums {
     std::uint64_t monitor_generation = 0;
     std::uint64_t view_version = 0;  ///< 0: nothing cached.
+    /// Slowest reading of any node, dead ones included; 0 while no node
+    /// has reported (every relative speed is then 1).
+    MiBps slowest = 0.0;
     /// Mean known per-container speed; stands in for unreported nodes.
     double fallback = 1.0;
     /// Σ per-container speed × containers over live nodes.
@@ -135,7 +139,8 @@ class FlexMapScheduler final : public mr::Scheduler {
 
   /// Largest task (in BUs) a container on `node` can finish before the
   /// cluster drains the remaining map work.
-  std::uint32_t end_game_cap(const mr::DriverContext& ctx, NodeId node);
+  std::uint32_t end_game_cap(const mr::DriverContext& ctx, NodeId node,
+                             const CapacitySums& sums) const;
 
   FlexMapOptions options_;
   std::unique_ptr<SpeedMonitor> monitor_;

@@ -140,14 +140,10 @@ std::vector<BlockUnitId> BlockLocationIndex::take_local(NodeId node,
     ++pool.next;
     pool.offset = 0;
   }
-  // The cursor may have raced past BUs that were put_back earlier; rescan
-  // from the front only if we still owe BUs and the node claims to have some.
-  if (taken.size() < n && counts_[node] > 0) {
-    for (std::size_t i = 0; i < pool.blocks.size() && taken.size() < n; ++i) {
-      const std::uint32_t block = pool.blocks[i];
-      if (available(block, node)) take_from(block, 0, n, taken);
-    }
-  }
+  // Every free BU the node serves lies at or after its cursor: put_back, a
+  // rejoin and a re-landed copy rewind it, and a newly held block joins the
+  // pool's tail. So a walk that ends short has taken them all.
+  FLEXMR_ASSERT(taken.size() == n || counts_[node] == 0);
   return taken;
 }
 
@@ -218,8 +214,8 @@ void BlockLocationIndex::attach(const ReplicaManager& replicas,
 }
 
 void BlockLocationIndex::node_lost(NodeId node) {
+  // No rewind: the node serves nothing until node_restored rewinds it.
   counts_[node] = 0;
-  pools_[node].rewind();
 }
 
 void BlockLocationIndex::node_restored(NodeId node) {

@@ -229,7 +229,7 @@ void JobDriver::heartbeat() {
   if (injector_) {
     const SimTime now = sim_->now();
     for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
-      if (failed_nodes_.count(node) > 0) continue;
+      if (node_lost(node)) continue;
       if (injector_->responsive(node)) {
         rm_.record_heartbeat(node, now);
       } else if (now - rm_.last_heartbeat(node) >=
@@ -254,7 +254,7 @@ void JobDriver::heartbeat() {
     if (task.phase != TaskPhase::kComputing) continue;
     // A silently-dead node reports nothing; its frozen containers keep
     // their last known progress but produce no fresh samples.
-    if (silent_nodes_.count(task.node) > 0) continue;
+    if (node_silent(task.node)) continue;
     const SimDuration computing = sim_->now() - task.compute_start;
     if (computing < params_.heartbeat_period_s) continue;
     const MiB read = task.integrator->done(sim_->now());
@@ -319,7 +319,7 @@ void JobDriver::on_speed_change(NodeId node) {
   // The cluster keeps changing speeds after this job finished (shared
   // simulations); a finished job has nothing left to re-rate. Tasks on a
   // silently-dead node are frozen at rate 0 and must not be re-rated.
-  if (done_ || silent_nodes_.count(node) > 0) return;
+  if (done_ || node_silent(node)) return;
   for (const TaskId id : live_map_ids_) {
     MapTask& task = *map_tasks_[id];
     if (task.node != node || task.phase != TaskPhase::kComputing) continue;

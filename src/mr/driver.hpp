@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -348,6 +347,14 @@ class JobDriver final : public DriverContext {
   void ensure_replica_manager();
   void on_node_silent(NodeId node);
   void on_node_rejoin(NodeId node);
+  /// The job's NameNode view holds `node` dead: a loss path ran for it
+  /// (in this attempt or an earlier one) and no rejoin has since. The view
+  /// exists whenever a node can be lost, and every loss, rejoin and
+  /// restart reconciliation updates it.
+  bool node_lost(NodeId node) const;
+  /// `node` is dead in ground truth but not yet lost: its tasks are
+  /// frozen and its heartbeats have stopped.
+  bool node_silent(NodeId node) const;
   void map_attempt_fail(TaskId id);
   void reduce_attempt_fail(std::size_t idx);
   struct WorstUnit {
@@ -474,9 +481,11 @@ class JobDriver final : public DriverContext {
   /// plan == no fault machinery at all.
   faults::FaultPlan plan_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  /// Live NameNode view (created iff the fault plan is non-empty): per-
-  /// block replica liveness plus the bandwidth-modeled re-replication
-  /// pipeline. Without faults the static layout is the truth and the
+  /// Live NameNode view (created when the fault plan is non-empty or a
+  /// coordinator delivers a node death, and handed on to successors): node
+  /// and per-block replica liveness plus the bandwidth-modeled
+  /// re-replication pipeline. It is the job's only record of which nodes
+  /// are lost. Without faults the static layout is the truth and the
   /// driver skips all replica bookkeeping.
   std::unique_ptr<hdfs::ReplicaManager> replica_mgr_;
   /// BU read state (1 == credited to a completed/partial map). Data loss
@@ -485,9 +494,6 @@ class JobDriver final : public DriverContext {
   /// Fetch-failure reports per map task id (Hadoop's per-mapper counter);
   /// hitting FaultPlan::max_fetch_failures_per_map re-executes the map.
   std::vector<std::uint32_t> map_fetch_reports_;
-  /// Nodes that are dead (ground truth) but not yet declared lost by the
-  /// AM: their tasks are frozen, their heartbeats stopped.
-  std::set<NodeId> silent_nodes_;
   /// Transient-failure counts per map BU / per reduce task; hitting
   /// FaultPlan::max_attempts aborts the job.
   std::vector<std::uint32_t> bu_attempt_failures_;
@@ -498,7 +504,6 @@ class JobDriver final : public DriverContext {
   /// Per-node speed-listener handles registered in start(), removed in the
   /// destructor (node == index).
   std::vector<cluster::Machine::SpeedListenerId> speed_listener_ids_;
-  std::set<NodeId> failed_nodes_;  ///< Failures this driver has handled.
   std::size_t running_map_count_ = 0;
   /// DriverContext state versions; they start at 1 because 0 means "not
   /// tracked". Bumped at every mutation the accessors' contracts name.

@@ -46,19 +46,18 @@ void JobDriver::notify_node_failure(NodeId node) {
   // schedules the single cluster-wide re-offer itself; this job records
   // the crash + its own detection and cleans up its containers. Idempotent
   // per node; also delivered at start() to jobs admitted after the death.
-  if (done_ || failed_nodes_.count(node) > 0) return;
+  if (done_ || node_lost(node)) return;
   ensure_replica_manager();
   record_fault(faults::FaultEventType::kCrash, node);
   fail_node(node, /*schedule_reoffer=*/false);
 }
 
 void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
-  // Guard on *this driver's* bookkeeping, not the RM: with a shared RM
-  // another job's driver may already have marked the node dead, but this
-  // job's tasks there still need cleaning up.
-  if (done_ || failed_nodes_.count(node) > 0) return;
-  failed_nodes_.insert(node);
-  silent_nodes_.erase(node);
+  // Guard on the job's NameNode view, not the RM: with a shared RM another
+  // job's driver may already have marked the node dead, but this job's
+  // tasks there still need cleaning up.
+  if (done_ || node_lost(node)) return;
+  FLEXMR_ASSERT(replica_mgr_ != nullptr);
   if (!rm_.is_dead(node)) rm_.mark_dead(node);
   record_fault(faults::FaultEventType::kDetected, node);
   // Pre-crash speed estimates describe a gone incarnation; a rejoined
@@ -69,16 +68,15 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
 
   // NameNode first: the node's replicas leave the live view (and with it
   // the index's local pools) before any BU is put back, so reclaimed work
-  // can only be re-taken from surviving holders.
-  hdfs::ReplicaManager::NodeLossReport replica_report;
-  if (replica_mgr_) {
-    replica_report = replica_mgr_->on_node_lost(node);
-    for (const std::uint32_t block : replica_report.lost) {
-      record_fault(layout_->storage.erasure()
-                       ? faults::FaultEventType::kPartLost
-                       : faults::FaultEventType::kReplicaLost,
-                   node, kInvalidTask, 0, block);
-    }
+  // can only be re-taken from surviving holders. From here on the node is
+  // lost.
+  hdfs::ReplicaManager::NodeLossReport replica_report =
+      replica_mgr_->on_node_lost(node);
+  for (const std::uint32_t block : replica_report.lost) {
+    record_fault(layout_->storage.erasure()
+                     ? faults::FaultEventType::kPartLost
+                     : faults::FaultEventType::kReplicaLost,
+                 node, kInvalidTask, 0, block);
   }
 
   std::vector<BlockUnitId> reclaimed;
@@ -298,9 +296,16 @@ void JobDriver::on_disk_fault(NodeId node, std::uint32_t disk) {
   if (!done_) reoffer_later();
 }
 
+bool JobDriver::node_lost(NodeId node) const {
+  return replica_mgr_ && !replica_mgr_->node_alive(node);
+}
+
+bool JobDriver::node_silent(NodeId node) const {
+  return injector_ && !injector_->responsive(node) && !node_lost(node);
+}
+
 void JobDriver::on_node_silent(NodeId node) {
-  if (done_ || failed_nodes_.count(node) > 0) return;
-  silent_nodes_.insert(node);
+  if (done_ || node_lost(node)) return;
   // The node's processes are gone but the AM does not know yet: freeze
   // every in-flight container there. Progress stops (rate 0) and pending
   // completion/startup events are cancelled — from the AM's perspective
@@ -322,25 +327,22 @@ void JobDriver::on_node_silent(NodeId node) {
 
 void JobDriver::on_node_rejoin(NodeId node) {
   if (done_) return;
-  // A crash the AM never detected (the node came back inside the liveness
-  // window) is reconciled at re-registration: the RM learns the old
-  // containers died, so the standard loss path runs first.
-  if (silent_nodes_.count(node) > 0 && failed_nodes_.count(node) == 0) {
-    fail_node(node);
-  }
-  if (done_ || failed_nodes_.count(node) == 0) return;
-  failed_nodes_.erase(node);
+  // A crash no attempt detected (the node came back inside the liveness
+  // window, or died while the AM was down) is reconciled at
+  // re-registration: the RM learns the old containers died, so the
+  // standard loss path runs first.
+  if (!node_lost(node)) fail_node(node);
+  if (done_) return;
   rm_.mark_alive(node);
   rm_.record_heartbeat(node, sim_->now());
   round_ips_[node].reset();
   pending_ips_samples_[node].clear();
   ++cluster_view_version_;
   record_fault(faults::FaultEventType::kRejoin, node);
-  if (replica_mgr_) {
-    // Block report: a crash does not wipe the disk, so every replica the
-    // node held returns to the live view and the index's local pools.
-    replica_mgr_->on_node_restored(node);
-  }
+  // Block report: a crash does not wipe the disk, so every replica the
+  // node held returns to the live view and the index's local pools. The
+  // node is no longer lost.
+  replica_mgr_->on_node_restored(node);
   scheduler_->on_node_recovered(*this, node);
   reoffer_later();
 }
@@ -440,7 +442,7 @@ bool JobDriver::blacklist_saturated() const {
   std::uint32_t blacklisted = 0;
   std::uint32_t alive = 0;
   for (NodeId n = 0; n < static_cast<NodeId>(blacklisted_.size()); ++n) {
-    if (failed_nodes_.count(n) > 0) continue;
+    if (node_lost(n)) continue;
     ++alive;
     if (blacklisted_[n] != 0) ++blacklisted;
   }

@@ -348,7 +348,7 @@ bool JobDriver::preempt_one_map() {
   for (const TaskId id : live_map_ids_) {
     const MapTask& task = *map_tasks_[id];
     if (task.speculative || task.twin != kInvalidTask) continue;
-    if (silent_nodes_.count(task.node) > 0) continue;
+    if (node_silent(task.node)) continue;
     if (victim == kInvalidTask ||
         task.dispatch_time >= map_tasks_[victim]->dispatch_time) {
       victim = id;

@@ -95,24 +95,24 @@ std::unique_ptr<JobDriver> JobDriver::successor(yarn::ResourceManager& rm) {
 void JobDriver::restore_from_journal() {
   const recover::RecoveredState& rec = *recovered_;
 
-  // Node-liveness reconciliation at re-registration: the RM remembers the
-  // deaths the previous attempt detected. A node that came back while no
-  // AM was alive to process its rejoin is reconciled here; silent deaths
-  // the old AM never detected are re-detected by heartbeat expiry (the
-  // liveness clock ran through the AM downtime). A shared cluster's node
-  // that died during the downtime is still live in the NameNode view: no
-  // attempt has processed it, and start() runs its loss path at its end.
+  // Node-liveness reconciliation at re-registration: the RM and the
+  // inherited NameNode view remember the deaths earlier attempts detected,
+  // and a node the view holds dead stays lost. One that came back while no
+  // AM was alive to process its rejoin is reconciled here. A death no
+  // attempt detected is still live in the view: heartbeat expiry detects
+  // it (the liveness clock ran through the AM downtime), or its rejoin runs
+  // the loss path first. A shared cluster's node that died during the
+  // downtime is RM-dead but live in the view, and start() runs its loss
+  // path at its end.
   for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
-    if (!rm_.is_dead(node)) continue;
-    if (injector_ && injector_->responsive(node)) {
-      rm_.mark_alive(node);
-      ++cluster_view_version_;
-      rm_.record_heartbeat(node, sim_->now());
-      replica_mgr_->on_node_restored(node);
-      record_fault(faults::FaultEventType::kRejoin, node);
-    } else if (replica_mgr_ && !replica_mgr_->node_alive(node)) {
-      failed_nodes_.insert(node);
+    if (!rm_.is_dead(node) || !injector_ || !injector_->responsive(node)) {
+      continue;
     }
+    rm_.mark_alive(node);
+    ++cluster_view_version_;
+    rm_.record_heartbeat(node, sim_->now());
+    replica_mgr_->on_node_restored(node);
+    record_fault(faults::FaultEventType::kRejoin, node);
   }
 
   // Committed maps replay as synthetic Done tasks, in original commit

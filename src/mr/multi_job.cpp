@@ -124,8 +124,6 @@ void MultiJobCoordinator::start() {
 
   cluster_->start(*sim_, rng_);
   rm_.set_offer_handler([this](NodeId node) { return handle_offer(node); });
-  rm_.set_preemption_handler(
-      [this](std::uint32_t want) { return handle_preemption(want); });
   trace_setup();
 
   for (const auto& [node, time] : failures_) {
@@ -210,7 +208,7 @@ void MultiJobCoordinator::on_node_failure(NodeId node) {
 
 void MultiJobCoordinator::preemption_pass() {
   // Weighted fair share of each active job; a job under its share with
-  // work still pending files a demand, and the RM claws containers back
+  // work still pending files a demand, and containers are clawed back
   // from whoever is furthest over share.
   std::vector<std::size_t> active;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
@@ -232,13 +230,13 @@ void MultiJobCoordinator::preemption_pass() {
       if (gap > 0) deficit += static_cast<std::uint32_t>(gap);
     }
     if (deficit > 0) {
-      rm_.preempt(std::min(deficit, preemption_.max_kills_per_round));
+      handle_preemption(std::min(deficit, preemption_.max_kills_per_round));
     }
   }
   sim_->schedule_after(preemption_.period_s, [this]() { preemption_pass(); });
 }
 
-std::uint32_t MultiJobCoordinator::handle_preemption(std::uint32_t want) {
+void MultiJobCoordinator::handle_preemption(std::uint32_t want) {
   std::vector<std::size_t> active;
   double sum_w = 0.0;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
@@ -247,7 +245,7 @@ std::uint32_t MultiJobCoordinator::handle_preemption(std::uint32_t want) {
       sum_w += jobs_[j].weight;
     }
   }
-  if (active.size() < 2 || sum_w <= 0.0) return 0;
+  if (active.size() < 2 || sum_w <= 0.0) return;
   // Most-over-share victims first.
   std::stable_sort(active.begin(), active.end(),
                    [this](std::size_t a, std::size_t b) {
@@ -268,7 +266,6 @@ std::uint32_t MultiJobCoordinator::handle_preemption(std::uint32_t want) {
       if (ctr_preemptions_ != nullptr) ctr_preemptions_->inc();
     }
   }
-  return reclaimed;
 }
 
 void MultiJobCoordinator::trace_setup() {

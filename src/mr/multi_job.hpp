@@ -42,13 +42,14 @@ enum class SharePolicy {
 /// Stable wire names ("fifo", "fair", "weighted-fair").
 const char* to_string(SharePolicy policy);
 
-/// Container preemption of over-share jobs (YARN capacity-scheduler style,
-/// routed through the RM's preemption hook). Every `period_s` the
-/// coordinator computes each active job's weighted fair share; when a job
-/// below its share still has work pending, containers are reclaimed from
-/// jobs holding more than `over_share_factor` times their share, youngest
-/// map attempt first (FlexMap's elastic tasks credit the consumed prefix,
-/// so preemption wastes almost no work).
+/// Container preemption of over-share jobs (YARN capacity-scheduler style).
+/// The coordinator alone decides when: every `period_s` it computes each
+/// active job's weighted fair share, and when a job below its share still
+/// has work pending, it reclaims containers from jobs holding more than
+/// `over_share_factor` times their share. Each victim job's AM picks which
+/// container dies, its youngest map attempt (FlexMap's elastic tasks credit
+/// the consumed prefix, so preemption wastes almost no work). The freed
+/// slots return to the RM through the normal release → offer path.
 struct PreemptionConfig {
   bool enabled = false;
   SimDuration period_s = 30.0;
@@ -143,7 +144,8 @@ class MultiJobCoordinator {
   void start_job(std::size_t j);
   void on_node_failure(NodeId node);
   void preemption_pass();
-  std::uint32_t handle_preemption(std::uint32_t want);
+  /// Kills up to `want` map attempts, most-over-share job first.
+  void handle_preemption(std::uint32_t want);
   void trace_setup();
   /// Containers held per unit weight — the fair-share sort key.
   double weighted_usage(std::size_t j) const;

@@ -27,7 +27,10 @@
 // What is deliberately NOT journaled: in-flight task state (torn down on
 // crash, matching MRAppMaster), speculation/mitigation queues (transient
 // policy state a new AM rebuilds from observation), node speed estimates,
-// and silent-node suspicions (the new AM re-detects via heartbeat expiry).
+// and node liveness. Deaths an earlier attempt detected live on in the
+// NameNode view the new AM inherits; one no attempt detected is caught by
+// heartbeat expiry, or at the node's rejoin, which runs the loss path first
+// for a node the view still holds alive.
 #pragma once
 
 #include <cstdint>

@@ -17,6 +17,14 @@ namespace {
 /// at `now` stays due. Simulated time is never negative.
 constexpr double kWakeMargin = 1e-9;
 
+/// Extra startup charged to every mitigation task (scan + plan + move).
+constexpr SimDuration kRepartitionOverheadS = 10.0;
+/// Only mitigate stragglers whose estimated time-left exceeds this
+/// multiple of the repartition overhead (SkewTune's "is it worth it").
+constexpr double kMinBenefitFactor = 2.0;
+/// Don't judge tasks younger than this.
+constexpr SimDuration kMinRuntimeS = 5.0;
+
 }  // namespace
 
 void SkewTuneScheduler::on_job_start(mr::DriverContext& ctx) {
@@ -45,7 +53,7 @@ void SkewTuneScheduler::on_map_dispatch(mr::DriverContext& ctx, TaskId task,
     pending_is_mitigation_ = false;
     return;
   }
-  wake_at(ctx.now() + options_.min_runtime_s, task);  // old enough to judge
+  wake_at(ctx.now() + kMinRuntimeS, task);  // old enough to judge
 }
 
 void SkewTuneScheduler::wake_at(SimTime at, TaskId task) {
@@ -95,17 +103,15 @@ TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) {
   }
   std::sort(due_.begin(), due_.end());
   ctx.running_maps_among(due_, running_);
-  const double threshold =
-      options_.min_benefit_factor * options_.repartition_overhead_s;
+  const double threshold = kMinBenefitFactor * kRepartitionOverheadS;
   // The strict `>` keeps the *first* maximum in id order.
   TaskId best = kInvalidTask;
   double best_time_left = 0;
   for (const auto& info : running_) {
     if (info.size_mib <= 2 * kBlockUnitMiB) continue;  // nothing to split
     const SimDuration age = now - info.dispatch_time;
-    const double rate = info.computing && age >= options_.min_runtime_s
-                            ? info.progress / age
-                            : 0.0;
+    const double rate =
+        info.computing && age >= kMinRuntimeS ? info.progress / age : 0.0;
     SimTime wake = now;  // due again on the next search
     if (rate > 0) {
       const double time_left = (1.0 - info.progress) / rate;
@@ -158,7 +164,7 @@ std::optional<mr::MapLaunch> SkewTuneScheduler::serve_chunk(
     launch.bus = std::move(chunk);
     chunks_.erase(at);
     index.take_units(launch.bus);
-    launch.extra_startup_s = options_.repartition_overhead_s;
+    launch.extra_startup_s = kRepartitionOverheadS;
     pending_is_mitigation_ = true;
     return launch;
   }

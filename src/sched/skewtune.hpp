@@ -8,7 +8,7 @@
 //
 // Modeled costs, matching the mechanism's real overheads:
 //   * repartitioning is planned by scanning the remaining input; every
-//     mitigation task pays `repartition_overhead_s` extra startup,
+//     mitigation task pays a fixed repartition overhead as extra startup,
 //   * mitigation chunks are usually remote to their new host, so they pay
 //     the driver's normal remote-read penalty,
 //   * the straggler's processed prefix is kept (SkewTune's operator-level
@@ -25,21 +25,9 @@
 
 namespace flexmr::sched {
 
-struct SkewTuneOptions {
-  /// Extra startup charged to every mitigation task (scan + plan + move).
-  SimDuration repartition_overhead_s = 10.0;
-  /// Only mitigate stragglers whose estimated time-left exceeds this
-  /// multiple of the repartition overhead (SkewTune's "is it worth it").
-  double min_benefit_factor = 2.0;
-  /// Don't judge tasks younger than this.
-  SimDuration min_runtime_s = 5.0;
-};
-
 class SkewTuneScheduler final : public StockHadoopScheduler {
  public:
-  explicit SkewTuneScheduler(SkewTuneOptions options = {})
-      : StockHadoopScheduler(StockOptions{.speculation = false, .late = {}}),
-        options_(options) {}
+  SkewTuneScheduler() : StockHadoopScheduler({.speculation = false}) {}
 
   std::string name() const override { return "skewtune"; }
 
@@ -79,7 +67,6 @@ class SkewTuneScheduler final : public StockHadoopScheduler {
   /// any units another task took meanwhile; a chunk left empty is dropped.
   std::optional<mr::MapLaunch> serve_chunk(mr::DriverContext& ctx);
 
-  SkewTuneOptions options_;
   std::deque<std::vector<BlockUnitId>> chunks_;  ///< Planned mitigation work.
   /// The launch just returned is a mitigation chunk. Its task is never
   /// tracked, so never re-mitigated (SkewTune splits a straggler once;

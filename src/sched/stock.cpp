@@ -11,6 +11,26 @@
 
 namespace flexmr::sched {
 
+namespace {
+
+// LATE's parameters.
+/// SpeculativeCap: concurrent speculative copies, as a fraction of total
+/// slots.
+constexpr double kSpeculativeCap = 0.1;
+/// SlowTaskThreshold: percentile of the candidates' progress rates.
+constexpr double kSlowTaskPercentile = 0.25;
+/// SlowNodeThreshold: percentile of the nodes' observed IPS.
+constexpr double kSlowNodePercentile = 0.25;
+/// Don't judge brand-new tasks. Real YARN speculators need statistics
+/// to warm up and rarely fire in a task's first tens of seconds; the
+/// paper leans on exactly this sluggishness ("may also miss the best
+/// timing for load balancing", §IV-E).
+constexpr SimDuration kMinRuntimeS = 15.0;
+/// Too late to bother past this progress.
+constexpr double kMaxProgress = 0.9;
+
+}  // namespace
+
 void StockHadoopScheduler::on_job_start(mr::DriverContext& ctx) {
   const auto& layout = ctx.layout();
   block_launched_.assign(layout.blocks.size(), 0);
@@ -151,13 +171,12 @@ std::optional<mr::MapLaunch> StockHadoopScheduler::launch_pending_block(
 
 void StockHadoopScheduler::build_late_candidates(mr::DriverContext& ctx) {
   const SimTime now = ctx.now();
-  late_.speculating =
-      ctx.aged_running_maps(options_.late.min_runtime_s, late_.running);
+  late_.speculating = ctx.aged_running_maps(kMinRuntimeS, late_.running);
   late_.candidates.clear();
   // Candidates: running, old enough, unfinished enough, not yet backed up.
   for (const auto& info : late_.running) {
     if (!info.computing || info.speculative || info.has_twin) continue;
-    if (info.progress >= options_.late.max_progress) continue;
+    if (info.progress >= kMaxProgress) continue;
     const double rate = info.progress / (now - info.dispatch_time);
     if (rate <= 0) continue;
     late_.candidates.push_back(
@@ -180,8 +199,8 @@ std::optional<mr::MapLaunch> StockHadoopScheduler::late_speculate(
   }
 
   // SpeculativeCap: bound concurrent speculative copies.
-  const auto cap = static_cast<std::size_t>(std::ceil(
-      options_.late.speculative_cap * ctx.total_slots()));
+  const auto cap = static_cast<std::size_t>(
+      std::ceil(kSpeculativeCap * ctx.total_slots()));
   if (late_.speculating >= cap) return std::nullopt;
 
   // SlowNodeThreshold: no backups on nodes that look slow themselves.
@@ -195,8 +214,7 @@ std::optional<mr::MapLaunch> StockHadoopScheduler::late_speculate(
     if (!node_speeds.empty()) {
       std::sort(node_speeds.begin(), node_speeds.end());
       late_.slow_node_ips = node_speeds[static_cast<std::size_t>(
-          options_.late.slow_node_percentile *
-          static_cast<double>(node_speeds.size() - 1))];
+          kSlowNodePercentile * static_cast<double>(node_speeds.size() - 1))];
     }
     late_.view_version = view;
   }
@@ -215,8 +233,7 @@ std::optional<mr::MapLaunch> StockHadoopScheduler::late_speculate(
   }
   if (rates.empty()) return std::nullopt;
   const auto rate_idx = static_cast<std::size_t>(
-      options_.late.slow_task_percentile *
-      static_cast<double>(rates.size() - 1));
+      kSlowTaskPercentile * static_cast<double>(rates.size() - 1));
   std::nth_element(rates.begin(),
                    rates.begin() + static_cast<std::ptrdiff_t>(rate_idx),
                    rates.end());

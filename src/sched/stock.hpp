@@ -31,25 +31,12 @@
 
 namespace flexmr::sched {
 
-struct LateParams {
-  double speculative_cap = 0.1;      ///< Fraction of total slots.
-  double slow_task_percentile = 0.25;
-  double slow_node_percentile = 0.25;
-  /// Don't judge brand-new tasks. Real YARN speculators need statistics
-  /// to warm up and rarely fire in a task's first tens of seconds; the
-  /// paper leans on exactly this sluggishness ("may also miss the best
-  /// timing for load balancing", §IV-E).
-  SimDuration min_runtime_s = 15.0;
-  double max_progress = 0.9;         ///< Too late to bother past this.
-};
-
 struct StockOptions {
   bool speculation = true;
   /// Delay scheduling (Zaharia et al., EuroSys'10 — shipped in Hadoop's
   /// fair scheduler): a slot with no node-local pending block waits this
   /// long before accepting a remote block. 0 disables the wait.
   SimDuration locality_wait_s = 0.0;
-  LateParams late;
 };
 
 class StockHadoopScheduler : public mr::Scheduler {

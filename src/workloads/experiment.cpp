@@ -23,7 +23,7 @@ std::string scheduler_label(SchedulerKind kind) {
 }
 
 std::unique_ptr<mr::Scheduler> make_scheduler(SchedulerKind kind,
-                                              std::uint64_t seed) {
+                                              std::uint64_t /*seed*/) {
   using sched::SkewTuneScheduler;
   using sched::StockHadoopScheduler;
   using sched::StockOptions;
@@ -32,29 +32,23 @@ std::unique_ptr<mr::Scheduler> make_scheduler(SchedulerKind kind,
       return std::make_unique<StockHadoopScheduler>();
     case SchedulerKind::kHadoopNoSpec:
       return std::make_unique<StockHadoopScheduler>(
-          StockOptions{.speculation = false, .late = {}});
+          StockOptions{.speculation = false});
     case SchedulerKind::kSkewTune:
       return std::make_unique<SkewTuneScheduler>();
-    case SchedulerKind::kFlexMap: {
-      flexmap::FlexMapOptions options;
-      options.seed = seed;
-      return std::make_unique<flexmap::FlexMapScheduler>(options);
-    }
+    case SchedulerKind::kFlexMap:
+      return std::make_unique<flexmap::FlexMapScheduler>();
     case SchedulerKind::kFlexMapNoVertical: {
       flexmap::FlexMapOptions options;
-      options.seed = seed;
       options.sizing.vertical = false;
       return std::make_unique<flexmap::FlexMapScheduler>(options);
     }
     case SchedulerKind::kFlexMapNoHorizontal: {
       flexmap::FlexMapOptions options;
-      options.seed = seed;
       options.sizing.horizontal = false;
       return std::make_unique<flexmap::FlexMapScheduler>(options);
     }
     case SchedulerKind::kFlexMapNoReduceBias: {
       flexmap::FlexMapOptions options;
-      options.seed = seed;
       options.reduce_bias = false;
       return std::make_unique<flexmap::FlexMapScheduler>(options);
     }

@@ -34,6 +34,9 @@ enum class SchedulerKind {
 
 std::string scheduler_label(SchedulerKind kind);
 
+/// `seed` is unused: no scheduler draws random numbers of its own (FlexMap
+/// places reducers by quota). It stays because perfbench/main.cpp passes
+/// one.
 std::unique_ptr<mr::Scheduler> make_scheduler(SchedulerKind kind,
                                               std::uint64_t seed = 42);
 

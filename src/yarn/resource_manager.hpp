@@ -9,6 +9,9 @@
 // without simulating the RPC machinery, and it is exactly the hook FlexMap
 // needs: the paper's RMContainerAllocator modification signals JobImpl when
 // containers become available so the mapper size can be decided *then*.
+// Preemption is not the RM's: on a shared cluster the coordinator decides
+// when to claw containers back (mr/multi_job.hpp), and the RM only sees the
+// releases.
 #pragma once
 
 #include <functional>
@@ -29,25 +32,6 @@ class ResourceManager {
 
   void set_offer_handler(OfferHandler handler) {
     handler_ = std::move(handler);
-  }
-
-  /// Handler invoked by preempt(want): kill running containers until up to
-  /// `want` slots are freed; returns the number actually reclaimed. YARN's
-  /// capacity/fair schedulers preempt through the RM the same way — the RM
-  /// owns the decision *when*, the AMs own *which* container dies.
-  using PreemptionHandler = std::function<std::uint32_t(std::uint32_t)>;
-
-  void set_preemption_handler(PreemptionHandler handler) {
-    preemption_handler_ = std::move(handler);
-  }
-
-  /// Requests `want` containers back from over-share applications; routed
-  /// to the installed handler. Returns how many were reclaimed (0 with no
-  /// handler). The freed slots re-enter circulation through the normal
-  /// release → offer path, so arbitration decides who gets them next.
-  std::uint32_t preempt(std::uint32_t want) {
-    if (!preemption_handler_ || want == 0) return 0;
-    return preemption_handler_(want);
   }
 
   std::uint32_t free_slots(NodeId node) const { return free_[node]; }
@@ -107,7 +91,6 @@ class ResourceManager {
   std::uint32_t total_slots_ = 0;
   std::uint32_t total_free_ = 0;  ///< Maintained incrementally.
   OfferHandler handler_;
-  PreemptionHandler preemption_handler_;
   bool offering_ = false;  ///< Guards against re-entrant offer cascades.
 };
 

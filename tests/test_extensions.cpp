@@ -89,9 +89,7 @@ TEST(DelayScheduling, ImprovesLocality) {
   auto run = [](SimDuration wait) {
     auto cluster = cluster::presets::heterogeneous6();
     sched::StockHadoopScheduler scheduler(
-        sched::StockOptions{.speculation = false,
-                            .locality_wait_s = wait,
-                            .late = {}});
+        sched::StockOptions{.speculation = false, .locality_wait_s = wait});
     auto bench = workloads::benchmark("WC");
     bench.small_input = 2048.0;
     RunConfig config;
@@ -115,8 +113,7 @@ TEST(DelayScheduling, ImprovesLocality) {
 TEST(DelayScheduling, ZeroWaitMatchesDefaultBehavior) {
   auto cluster = cluster::presets::homogeneous6();
   sched::StockHadoopScheduler with_zero(
-      sched::StockOptions{.speculation = false, .locality_wait_s = 0.0,
-                          .late = {}});
+      sched::StockOptions{.speculation = false, .locality_wait_s = 0.0});
   auto bench = workloads::benchmark("WC");
   bench.small_input = 1024.0;
   const auto a = workloads::run_job(cluster, bench, InputScale::kSmall,

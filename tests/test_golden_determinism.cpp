@@ -1,7 +1,7 @@
 // Golden-output determinism regression for the hot-path optimizations.
 //
 // The simulator's core property is bit-reproducibility: the event-queue
-// slot table, heap compaction, SpeedMonitor extrema caching and the
+// slot table, heap compaction, the cached slowest speed and the
 // heartbeat/offer-loop rewrites must not change a single byte of the
 // JobResult JSON for a fixed seed. The golden hashes (tests/
 // golden_cases.hpp, shared with other suites) were captured

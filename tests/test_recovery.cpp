@@ -8,8 +8,9 @@
 // scratch. Plus: node loss and disk faults around a restart, attempt-
 // budget aborts, probabilistic (MTTF) AM death, snapshot-cadence
 // invariance, journal artifact shape, multi-job and service survival of AM
-// loss, a pinned golden for a mid-map crash, and pinned hashes for the AM
-// paths no golden reaches.
+// loss, a pinned golden for a mid-map crash, pinned hashes for the AM
+// paths no golden reaches, and node deaths no attempt detected before the
+// node rejoined.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "obs/session.hpp"
 #include "recover/runner.hpp"
 #include "service/service.hpp"
+#include "simcore/simulator.hpp"
 #include "workloads/experiment.hpp"
 
 namespace flexmr {
@@ -212,6 +215,77 @@ TEST_P(RecoverySweep, MergedRecordsVoidReplayedCommitsTheSuccessorLoses) {
   config.params.seed = 32;
   config.faults.crashes = {{1, 32.857, 119.383, true}};
   expect_mixed16_recovers(GetParam(), config);
+}
+
+// Node 10 of virtual20 dies where no AM attempt detects it before it
+// rejoins at 50 s: the AM crashes at 30 s, and its successor starts at
+// 40 s, before heartbeat expiry could fire. The successor dispatches onto
+// the dead node, and those attempts freeze in startup, so the job finishes
+// only if the rejoin runs the loss path first. The chain is stepped under
+// a simulated-time cap instead of through run_job: heartbeats keep the
+// event queue busy forever, so a job that never finishes would spin.
+void expect_rejoin_reconciles_the_death(SchedulerKind kind,
+                                        faults::NodeCrash crash) {
+  constexpr SimTime kCap = 2000.0;
+  const auto bench = workloads::benchmark("WC");
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto cluster = cluster::presets::virtual20();
+    RunConfig config;
+    config.params.seed = seed;
+    config.faults.crashes = {crash};
+    config.faults.am_crashes = {30.0};
+    const auto layout = workloads::make_layout(
+        bench, InputScale::kSmall, cluster.num_nodes(), config.block_size,
+        config.replication, seed, config.storage);
+    const auto scheduler = workloads::make_scheduler(kind);
+    Simulator sim;
+    mr::AmAttemptChain chain(
+        sim, std::make_unique<mr::JobDriver>(
+                 sim, cluster, layout,
+                 workloads::to_job_spec(bench, InputScale::kSmall),
+                 config.params, *scheduler));
+    chain.driver().install_faults(config.faults);
+    chain.enable_recovery({config.faults.am_max_attempts,
+                           config.faults.am_restart_delay_s});
+    chain.start();
+    chain.driver().resource_manager().set_offer_handler(
+        [&chain](NodeId node) { return chain.driver().offer(node); });
+    sim.schedule_at(30.0, [&chain]() { chain.crash(); });
+    while (!chain.finished() && sim.now() < kCap && sim.step()) {}
+    if (!chain.finished()) {
+      ADD_FAILURE() << "unfinished at simulated " << sim.now() << " s";
+      continue;
+    }
+    const mr::JobResult result = chain.result();
+    EXPECT_FALSE(result.aborted) << result.abort_reason;
+    EXPECT_EQ(result.am_restarts, 1u);
+    EXPECT_EQ(layout.bus.size(), 2560u);
+    EXPECT_EQ(credited_bus(result), layout.bus.size());
+    const auto first = [&result](faults::FaultEventType type) {
+      return std::find_if(result.fault_events.begin(),
+                          result.fault_events.end(),
+                          [type](const faults::FaultEvent& e) {
+                            return e.type == type && e.node == 10;
+                          });
+    };
+    const auto detected = first(faults::FaultEventType::kDetected);
+    const auto rejoin = first(faults::FaultEventType::kRejoin);
+    ASSERT_NE(detected, result.fault_events.end());
+    ASSERT_NE(rejoin, result.fault_events.end());
+    EXPECT_LT(detected, rejoin);
+  }
+}
+
+// The node dies silently at 25 s, before the AM crash, and the successor
+// starts with no record of it.
+TEST_P(RecoverySweep, SuccessorReconcilesSilentDeathAtRejoin) {
+  expect_rejoin_reconciles_the_death(GetParam(), {10, 25.0, 50.0, true});
+}
+
+// The node dies at 35 s, inside the AM downtime: no attempt sees the crash.
+TEST_P(RecoverySweep, SuccessorReconcilesDeathDuringDowntimeAtRejoin) {
+  expect_rejoin_reconciles_the_death(GetParam(), {10, 35.0, 50.0, false});
 }
 
 INSTANTIATE_TEST_SUITE_P(
